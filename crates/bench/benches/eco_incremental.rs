@@ -1,5 +1,6 @@
-//! Whole-flow incrementality benchmark: what the delta path saves over
-//! re-deriving the physical back half of the flow from scratch.
+//! Whole-flow incrementality benchmark: what the warm, fingerprint-keyed
+//! sessions save over re-deriving the physical back half of the flow
+//! from scratch.
 //!
 //! ```text
 //! cargo bench -p smt-bench --bench eco_incremental
@@ -26,10 +27,10 @@
 //!   machinery.
 //! * Equivalence checking is asserted bit-identical below but excluded
 //!   from the timed region: on this fraig-friendly workload both the
-//!   full check and the [`EquivCache`] path are dominated by AIG
-//!   construction over the whole design, which verdict inheritance does
-//!   not avoid — timing it would measure the prover, not the delta
-//!   plumbing. `tests/incremental_flow.rs` covers its correctness.
+//!   full check and the [`EquivCache`] path run the same fraig proof
+//!   over the whole design (the verdict memo only saves residue-cone
+//!   simulation) — timing it would measure the prover, not the session
+//!   caches. `tests/incremental_flow.rs` covers its correctness.
 //! * Working-copy and warm-session clones happen in the untimed
 //!   `bench_batched` setup: a what-if fork pays them once when it is
 //!   constructed, then amortises them over every hold-fix round and
@@ -125,7 +126,7 @@ fn main() {
     // iteration is a real ECO, not a cache no-op.
     let variants: Vec<_> = [0.58, 0.62].iter().map(|&cap| pre_cts(cap)).collect();
 
-    // The delta path must be bit-identical to the full re-run before
+    // The warm path must be bit-identical to the full re-run before
     // its speed means anything — including the equivalence verdicts the
     // timed region omits.
     for (k, (nl0, p0, _)) in variants.iter().enumerate() {
@@ -169,7 +170,7 @@ fn main() {
 
         let mut kw = 0usize;
         let warm = g.bench_batched(
-            "vth-swap back half, delta path",
+            "vth-swap back half, warm path",
             || {
                 kw += 1;
                 let (nl0, p0, _) = &variants[kw % variants.len()];

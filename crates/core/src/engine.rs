@@ -41,21 +41,19 @@ use crate::reopt::{reoptimize_switches_at_corners, ReoptReport};
 use crate::smtgen::{
     insert_initial_switch, insert_output_holders, to_conventional_smt, to_improved_mt_cells,
 };
-use crate::verify::{verify_cached, VerifyError, VerifyReport};
+use crate::verify::{standby_snapshot, verify_inner, VerifyError, VerifyReport};
 use smt_base::par::parallel_map;
 use smt_base::units::{Area, Current, Time};
 use smt_cells::corner::{hold_libs, setup_libs, Corner, CornerLibrary, CornerSet};
 use smt_cells::library::Library;
 use smt_netlist::check::{analyze_with_threads, Diagnostic, LintPolicy, Waiver};
-use smt_netlist::netlist::{InstId, NetId, Netlist, PortDir, VthCensus};
-use smt_netlist::{DeltaBasis, NetlistDelta};
+use smt_netlist::netlist::{Netlist, VthCensus};
 use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
 use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, Router};
-use smt_sim::{EquivCache, Mode, Simulator, Value};
+use smt_sim::EquivCache;
 use smt_sta::{analyze, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
 use smt_synth::{synthesize, SynthError, SynthOptions};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -491,22 +489,19 @@ pub struct DesignState {
     /// per configured corner, in corner-set order).
     pub corner_signoff: Vec<CornerSignoff>,
     /// The routing session (from [`StageId::RouteExtract`] onward):
-    /// per-net route caches keyed by pin fingerprints, so re-runs after
-    /// an ECO re-route only nets whose pins moved or rebound.
+    /// per-net base routes keyed by pin fingerprints. Every refresh
+    /// re-fingerprints all nets and re-routes only those whose pins
+    /// moved or rebound.
     pub router: Option<Router>,
-    /// The CTS session: a fingerprint-gated recording of the clock tree,
-    /// replayed bit-identically when the sequential fabric is unchanged.
+    /// The CTS session: a recording of the clock tree keyed by a clock
+    /// fabric fingerprint, replayed bit-identically when it matches.
     pub cts_session: Option<CtsSession>,
-    /// Warm equivalence state: per-output fan-in closures and per-cone
-    /// verdicts, so signoff re-verifies only cones an ECO touched.
+    /// Signoff's equivalence verdict memo: residue-cone simulation
+    /// results keyed by DUT cone fingerprint.
     pub equiv_cache: Option<EquivCache>,
-    /// Per-instance leakage rows for delta-aware power re-summation and
-    /// cheap per-corner re-pricing.
+    /// Per-instance leakage rows, rebuilt at every signoff and re-priced
+    /// at each corner library.
     pub power_ledger: Option<LeakageLedger>,
-    /// Netlist changes accumulated since the routing/extraction caches
-    /// were last synchronized; ECO stages use it to scope their
-    /// mid-stage re-route/re-extract candidates.
-    pub delta: NetlistDelta,
 }
 
 impl DesignState {
@@ -538,7 +533,6 @@ impl DesignState {
             cts_session: None,
             equiv_cache: None,
             power_ledger: None,
-            delta: NetlistDelta::new(),
         }
     }
 
@@ -619,38 +613,35 @@ fn placer_mut(placer: &mut Option<Placer>, stage: StageId) -> Result<&mut Placer
     })
 }
 
-/// Brings routing and extraction back in sync with the netlist after a
-/// mid-stage edit, re-routing only the nets in `state.delta` and
-/// re-extracting only what the router actually changed. No-op when the
-/// delta is empty or the design has not been routed yet (pre-route
-/// stages record deltas too; `RouteExtract` consumes them wholesale).
+/// Brings routing and extraction in sync with the current netlist and
+/// placement. A warm router re-fingerprints every net and re-routes only
+/// the stale ones, and [`Parasitics::update`] re-extracts only nets
+/// whose extraction fingerprint moved; without warm sessions this is a
+/// full route and extraction. The fingerprint scan is sound against any
+/// netlist, including checkpoint forks with divergent edit histories,
+/// so no stage needs to record what it edited.
 fn sync_routing(
     state: &mut DesignState,
     ctx: &FlowContext<'_>,
     stage: StageId,
 ) -> Result<(), FlowError> {
-    if state.delta.is_empty() {
-        return Ok(());
-    }
-    let Some(mut router) = state.router.take() else {
-        return Ok(());
-    };
-    let prev = state.extracted.take();
-    let candidates: BTreeSet<NetId> = state.delta.nets.clone();
+    let warm_router = state.router.take();
+    let prev_extracted = state.extracted.take();
     let placement = state.placement(stage)?;
-    router.reroute_nets(
-        &state.netlist,
-        ctx.lib,
-        placement,
-        &ctx.config.route,
-        Some(&candidates),
-        0,
-    );
-    let updated =
-        prev.map(|p| Parasitics::update(p, &state.netlist, ctx.lib, placement, router.global()));
-    state.extracted = updated;
+    let router = match warm_router {
+        Some(mut r) => {
+            r.refresh(&state.netlist, ctx.lib, placement, &ctx.config.route, 0);
+            r
+        }
+        None => Router::route(&state.netlist, ctx.lib, placement, &ctx.config.route, 0),
+    };
+    // Unmoved nets keep their extracted entries byte for byte.
+    let extracted = match prev_extracted {
+        Some(prev) => Parasitics::update(prev, &state.netlist, ctx.lib, placement, router.global()),
+        None => Parasitics::extract(&state.netlist, ctx.lib, placement, router.global()),
+    };
+    state.extracted = Some(extracted);
     state.router = Some(router);
-    state.delta.clear();
     Ok(())
 }
 
@@ -1341,7 +1332,6 @@ impl Stage for AssignDualVth {
         })?;
         // Worst-across-corners assignment: whatever stays low-Vth must
         // tolerate its MT conversion at the slow corner too.
-        let basis = DeltaBasis::of(&state.netlist);
         let report = assign_dual_vth_at_corners(
             &mut state.netlist,
             &ctx.setup_libs(),
@@ -1350,7 +1340,6 @@ impl Stage for AssignDualVth {
             &dualvth_cfg,
         )
         .map_err(FlowError::Assign)?;
-        state.delta.merge(&basis.diff(&state.netlist));
         state.last_wns = Some(report.final_wns);
         state.dualvth = Some(report);
         Ok(())
@@ -1367,7 +1356,6 @@ impl Stage for MtReplace {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         match ctx.config.technique {
             Technique::DualVth => {}
             Technique::ConventionalSmt => {
@@ -1377,7 +1365,6 @@ impl Stage for MtReplace {
                 to_improved_mt_cells(&mut state.netlist, ctx.lib);
             }
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1392,12 +1379,10 @@ impl Stage for InsertHolders {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         insert_output_holders(&mut state.netlist, ctx.lib);
         let placement = placement_mut(&mut state.placer, StageId::InsertHolders)?;
         place_new_support_cells(&state.netlist, ctx.lib, placement);
         insert_initial_switch(&mut state.netlist, ctx.lib, ctx.config.cluster.bounce_limit);
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1417,7 +1402,6 @@ impl Stage for ClusterSwitches {
         let cfg = ctx.config;
         let lib = ctx.lib;
         let sta_cfg = state.sta(StageId::ClusterSwitches)?.clone();
-        let basis = DeltaBasis::of(&state.netlist);
         let placement = placement_mut(&mut state.placer, StageId::ClusterSwitches)?;
         let mut cl_cfg = cfg.cluster.clone();
         for attempt in 0..=cfg.recluster_retries {
@@ -1444,7 +1428,6 @@ impl Stage for ClusterSwitches {
             // Tighten the bounce budget and re-cluster.
             cl_cfg.bounce_limit = cl_cfg.bounce_limit * 0.7;
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1458,7 +1441,6 @@ impl Stage for Cts {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         // The session replays the recorded tree bit-identically when the
         // clock fabric fingerprint is unchanged (warm what-if re-runs),
         // and falls back to full synthesis otherwise.
@@ -1479,7 +1461,6 @@ impl Stage for Cts {
                 ctx.config.mte_max_fanout,
             );
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1493,39 +1474,7 @@ impl Stage for RouteExtract {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let warm_router = state.router.take();
-        let prev_extracted = state.extracted.take();
-        let placement = state.placement(StageId::RouteExtract)?;
-        // Warm sessions re-fingerprint every net and re-route only the
-        // stale ones; the fingerprint scan is sound against any netlist,
-        // including checkpoint forks with divergent edit histories.
-        let router = match warm_router {
-            Some(mut r) => {
-                r.reroute_nets(
-                    &state.netlist,
-                    ctx.lib,
-                    placement,
-                    &ctx.config.route,
-                    None,
-                    0,
-                );
-                r
-            }
-            None => Router::route(&state.netlist, ctx.lib, placement, &ctx.config.route, 0),
-        };
-        let extracted = match prev_extracted {
-            // Same fingerprint-gated reuse for RC: unmoved nets keep
-            // their extracted entries byte for byte.
-            Some(prev) => {
-                Parasitics::update(prev, &state.netlist, ctx.lib, placement, router.global())
-            }
-            None => Parasitics::extract(&state.netlist, ctx.lib, placement, router.global()),
-        };
-        state.extracted = Some(extracted);
-        state.router = Some(router);
-        // Routing and extraction are now synchronized with the netlist.
-        state.delta.clear();
-        Ok(())
+        sync_routing(state, ctx, StageId::RouteExtract)
     }
 }
 
@@ -1550,14 +1499,12 @@ impl Stage for ReoptSwitches {
             .collect();
         // Size each cluster's switch for its binding corner (the slow
         // corner's resistive devices bounce hardest).
-        let basis = DeltaBasis::of(&state.netlist);
         let report = reoptimize_switches_at_corners(
             &mut state.netlist,
             &ctx.corner_libs(),
             ctx.config.cluster.bounce_limit,
             |id| lengths.get(id.index()).copied().unwrap_or(0.0),
         );
-        state.delta.merge(&basis.diff(&state.netlist));
         state.reopt = Some(report);
         Ok(())
     }
@@ -1574,9 +1521,11 @@ impl Stage for EcoHoldFix {
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
         let lib = ctx.lib;
-        // Fold any pending netlist changes (post-route switch sizing)
-        // into routing and extraction before timing anything.
-        sync_routing(state, ctx, StageId::EcoHoldFix)?;
+        // Fold netlist edits made since routing (post-route switch
+        // sizing) into routing and extraction before timing anything.
+        if state.extracted.is_some() {
+            sync_routing(state, ctx, StageId::EcoHoldFix)?;
+        }
         let extracted = state.extracted.as_ref().ok_or(FlowError::MissingState {
             stage: StageId::EcoHoldFix,
             what: "extracted parasitics",
@@ -1608,13 +1557,11 @@ impl Stage for EcoHoldFix {
         // repack to shift neighbours, and the shifted wires cost delay
         // that the recovery pass never saw. The old flow signed off on
         // the stale pre-repack RC and hid that cost; here each pass
-        // re-routes and re-extracts exactly the nets whose pins moved or
-        // rebound (setup swaps, repack shifts, earlier re-opt sizing)
-        // and recovers again against fresh numbers until the moves die
-        // out — unmoved nets keep their routed trees and extracted
-        // entries byte for byte.
+        // re-routes and re-extracts exactly the nets whose fingerprints
+        // moved (setup swaps, repack shifts) and recovers again against
+        // fresh numbers until the moves die out — unmoved nets keep
+        // their routed trees and extracted entries byte for byte.
         for _pass in 0..3 {
-            let basis = DeltaBasis::of(&state.netlist);
             let extracted = state.extracted.as_ref().ok_or(FlowError::MissingState {
                 stage: StageId::EcoHoldFix,
                 what: "extracted parasitics",
@@ -1628,27 +1575,17 @@ impl Stage for EcoHoldFix {
                 20,
             )
             .map_err(FlowError::Cycle)?;
-            state.delta.merge(&basis.diff(&state.netlist));
             if setup_fix.touched.is_empty() {
                 break;
             }
             // Setup fixes are in-place variant/drive swaps; re-legalize
             // just the rows they touched instead of re-running placement.
+            // The repack can shift *other* cells in those rows; the
+            // fingerprint scan picks their nets up too.
             let placer = placer_mut(&mut state.placer, StageId::EcoHoldFix)?;
-            // The repack can shift *other* cells in the touched rows;
-            // snapshot locations so their nets join the re-route set.
-            let before: Vec<_> = (0..state.netlist.inst_capacity())
-                .map(|i| placer.placement().try_loc(InstId(i as u32)))
-                .collect();
             placer.replace_cells(&state.netlist, ctx.lib, &setup_fix.touched);
-            let moved: Vec<InstId> = (0..state.netlist.inst_capacity())
-                .map(|i| InstId(i as u32))
-                .filter(|&id| placer.placement().try_loc(id) != before[id.index()])
-                .collect();
-            state.delta.record_insts(&state.netlist, &moved);
             sync_routing(state, ctx, StageId::EcoHoldFix)?;
         }
-        let basis = DeltaBasis::of(&state.netlist);
         let extracted = state.extracted.as_ref().ok_or(FlowError::MissingState {
             stage: StageId::EcoHoldFix,
             what: "extracted parasitics",
@@ -1664,7 +1601,6 @@ impl Stage for EcoHoldFix {
             ctx.config.hold_rounds,
         )
         .map_err(FlowError::Cycle)?;
-        state.delta.merge(&basis.diff(&state.netlist));
         state.hold_fix = Some(hold_fix);
         state.derating = Some(derating);
         Ok(())
@@ -1706,27 +1642,29 @@ impl Stage for Signoff {
             return Err(FlowError::TimingNotMet { wns: timing.wns });
         }
 
-        // Equivalence re-checks are scoped to the cones an ECO touched:
-        // the warm cache inherits fraig and simulation verdicts for
-        // untouched cones, and the report digest stays bit-identical to
-        // an uncached run.
+        // One standby snapshot serves the standby-safety check and the
+        // leakage pricing below.
+        let standby = standby_snapshot(&state.netlist, lib).map_err(FlowError::Cycle)?;
+        // Equivalence: fraig proves what it can, and residue cones whose
+        // DUT fingerprint the memo already holds replay their verdict.
+        // The report digest stays bit-identical to an uncached run.
         let mut equiv_cache = state.equiv_cache.take().unwrap_or_default();
-        let verify_report = verify_cached(
+        let verify_report = verify_inner(
             &state.golden,
             &state.netlist,
             lib,
             ctx.config.verify_cycles,
             ctx.config.seed,
-            &mut equiv_cache,
+            &standby,
+            Some(&mut equiv_cache),
         )
         .map_err(FlowError::Verify)?;
         state.equiv_cache = Some(equiv_cache);
 
-        // Leakage through the delta-aware ledger: refresh re-derives
-        // only when the netlist moved, and pricing replays the exact
-        // accumulation sequence of the from-scratch walks — at the
-        // primary library here and per corner below — bit-identically.
-        let standby = standby_sim(&state.netlist, lib)?;
+        // Leakage through the ledger: refresh rebuilds the per-instance
+        // rows, and pricing replays the exact accumulation sequence of
+        // the from-scratch walks — at the primary library here and per
+        // corner below — bit-identically.
         let mut ledger = state.power_ledger.take().unwrap_or_default();
         ledger.refresh(&state.netlist, lib, &standby);
         let standby_total = ledger.price(lib, PricingMode::Standby).total();
@@ -1791,27 +1729,6 @@ impl Stage for Signoff {
         state.power_ledger = Some(ledger);
         Ok(())
     }
-}
-
-/// Builds the standby-mode simulator snapshot used for leakage accounting
-/// (fixed alternating input vector, FFs initialised to 0).
-fn standby_sim(netlist: &Netlist, lib: &Library) -> Result<Simulator, FlowError> {
-    let mut sim = Simulator::new(netlist, lib).map_err(FlowError::Cycle)?;
-    for (i, (_, port)) in netlist
-        .ports()
-        .filter(|(_, p)| p.dir == PortDir::Input && !p.is_clock)
-        .enumerate()
-    {
-        sim.set_input(port.net, Value::from_bool(i % 2 == 0));
-    }
-    for (id, inst) in netlist.instances() {
-        if lib.cell(inst.cell).is_sequential() {
-            sim.set_ff_state(id, Value::Zero);
-        }
-    }
-    sim.set_mode(Mode::Standby);
-    sim.propagate(netlist, lib);
-    Ok(sim)
 }
 
 /// Places support cells added after initial placement (output holders) at

@@ -417,12 +417,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Forks the prefix for an implementation what-if, grafting the warm
 /// incremental-session caches out of the finals checkpoint when one
 /// exists: routing session, CTS recording, extracted parasitics,
-/// equivalence cache and leakage ledger. Every one of these caches is
-/// fingerprint-gated against the netlist it is later asked about, so a
-/// fork whose implementation diverges from the finals simply rebuilds
-/// the stale entries — reuse can change how much work the re-run does,
-/// never its result (the bit-identity the incremental-flow tests
-/// digest-assert).
+/// equivalence verdict memo and leakage ledger. The first four key
+/// every entry on a content fingerprint of the netlist (and placement)
+/// they are later asked about, and the ledger rebuilds its rows at
+/// every signoff, so a fork whose implementation diverges from the
+/// finals simply recomputes the stale entries — reuse can change how
+/// much work the re-run does, never its result (the bit-identity the
+/// incremental-flow tests digest-assert).
 fn fork_prefix_with_warm_caches(prefix: &Checkpoint, finals: Option<&Checkpoint>) -> Checkpoint {
     let mut state = prefix.restore();
     if let Some(finals) = finals {

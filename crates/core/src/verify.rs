@@ -6,6 +6,7 @@
 use smt_cells::cell::CellRole;
 use smt_cells::library::Library;
 use smt_netlist::check::{analyze, LintPolicy, LintReport};
+use smt_netlist::graph::CombinationalCycle;
 use smt_netlist::netlist::{Netlist, PortDir};
 use smt_sim::{
     check_equivalence, check_equivalence_cached, EquivCache, EquivOptions, EquivReport, Mode,
@@ -62,6 +63,44 @@ pub fn mirror_control_ports(reference: &mut Netlist, dut: &Netlist) {
     }
 }
 
+/// The standby snapshot signoff checks and prices: the fixed
+/// alternating input vector (every other non-clock input high, starting
+/// with the first), every flip-flop at 0, the design gated
+/// (`Mode::Standby`) and propagated. [`verify`] looks for floating
+/// powered inputs in it, and the flow's signoff prices standby leakage
+/// from the same snapshot.
+///
+/// # Errors
+///
+/// The combinational cycle that keeps `netlist` from being simulated.
+pub(crate) fn standby_snapshot(
+    netlist: &Netlist,
+    lib: &Library,
+) -> Result<Simulator, CombinationalCycle> {
+    let mut sim = Simulator::new(netlist, lib)?;
+    for (i, (_, port)) in netlist
+        .ports()
+        .filter(|(_, p)| p.dir == PortDir::Input && !p.is_clock)
+        .enumerate()
+    {
+        sim.set_input(port.net, Value::from_bool(i % 2 == 0));
+    }
+    for (id, inst) in netlist.instances() {
+        if lib.cell(inst.cell).is_sequential() {
+            sim.set_ff_state(id, Value::Zero);
+        }
+    }
+    sim.set_mode(Mode::Standby);
+    sim.propagate(netlist, lib);
+    Ok(sim)
+}
+
+fn simulation_error(e: impl std::fmt::Display) -> VerifyError {
+    VerifyError {
+        message: e.to_string(),
+    }
+}
+
 /// Runs the full verification suite.
 ///
 /// `golden` is the pre-transform netlist (after synthesis, before any Vth
@@ -78,14 +117,15 @@ pub fn verify(
     cycles: usize,
     seed: u64,
 ) -> Result<VerifyReport, VerifyError> {
-    verify_inner(golden, dut, lib, cycles, seed, None)
+    let standby = standby_snapshot(dut, lib).map_err(simulation_error)?;
+    verify_inner(golden, dut, lib, cycles, seed, &standby, None)
 }
 
-/// [`verify`] with a warm [`EquivCache`]: the equivalence step re-checks
-/// only residue cones touched since the cache last saw the DUT, and the
-/// report — digest included — stays bit-identical to the uncached run.
-/// The cache must belong to this golden/DUT lineage; a different golden
-/// or options simply empties it (correct, just not incremental).
+/// [`verify`] through an [`EquivCache`] verdict memo: the equivalence
+/// step replays the stored verdict of every residue cone whose DUT
+/// fingerprint is unchanged, and the report — digest included — stays
+/// bit-identical to the uncached run. A different golden or different
+/// options empty the memo (correct, just not incremental).
 ///
 /// # Errors
 ///
@@ -98,15 +138,19 @@ pub fn verify_cached(
     seed: u64,
     cache: &mut EquivCache,
 ) -> Result<VerifyReport, VerifyError> {
-    verify_inner(golden, dut, lib, cycles, seed, Some(cache))
+    let standby = standby_snapshot(dut, lib).map_err(simulation_error)?;
+    verify_inner(golden, dut, lib, cycles, seed, &standby, Some(cache))
 }
 
-fn verify_inner(
+/// [`verify`] against a prebuilt [`standby_snapshot`] of `dut`, with an
+/// optional verdict memo for the equivalence step.
+pub(crate) fn verify_inner(
     golden: &Netlist,
     dut: &Netlist,
     lib: &Library,
     cycles: usize,
     seed: u64,
+    standby: &Simulator,
     cache: Option<&mut EquivCache>,
 ) -> Result<VerifyReport, VerifyError> {
     // 1. Static analysis under the signoff policy (full catalog, strict
@@ -133,29 +177,10 @@ fn verify_inner(
         ),
         None => check_equivalence(&golden2, dut, lib, cycles, seed),
     }
-    .map_err(|e| VerifyError {
-        message: e.to_string(),
-    })?;
+    .map_err(simulation_error)?;
 
-    // 3. Standby safety: drive a known input vector, gate the design, and
-    // look for powered cells with X inputs.
-    let mut sim = Simulator::new(dut, lib).map_err(|e| VerifyError {
-        message: e.to_string(),
-    })?;
-    for (i, (_, port)) in dut
-        .ports()
-        .filter(|(_, p)| p.dir == PortDir::Input && !p.is_clock)
-        .enumerate()
-    {
-        sim.set_input(port.net, Value::from_bool(i % 2 == 0));
-    }
-    for (id, inst) in dut.instances() {
-        if lib.cell(inst.cell).is_sequential() {
-            sim.set_ff_state(id, Value::Zero);
-        }
-    }
-    sim.set_mode(Mode::Standby);
-    sim.propagate(dut, lib);
+    // 3. Standby safety: in the gated standby snapshot, look for
+    // powered cells with X inputs.
     let mut floating_in_standby = Vec::new();
     for (_, inst) in dut.instances() {
         let cell = lib.cell(inst.cell);
@@ -177,7 +202,7 @@ fn verify_inner(
         };
         for pin in pins {
             if let Some(net) = inst.net_on(pin) {
-                if sim.value(net) == Value::X {
+                if standby.value(net) == Value::X {
                     floating_in_standby.push((inst.name.clone(), cell.pins[pin].name.clone()));
                 }
             }

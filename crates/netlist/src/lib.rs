@@ -33,11 +33,8 @@
 //! ```
 
 pub mod check;
-pub mod delta;
 pub mod graph;
 pub mod netlist;
 pub mod verilog;
-
-pub use delta::{DeltaBasis, NetlistDelta};
 
 pub use netlist::{InstId, Instance, Net, NetId, Netlist, NetlistError, PinRef, PortDir, PortId};

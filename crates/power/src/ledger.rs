@@ -1,14 +1,12 @@
-//! Delta-aware leakage ledger.
+//! Per-instance leakage ledger.
 //!
 //! [`LeakageLedger`] caches, per instance slot, everything the leakage
 //! accounting of [`crate::leakage`] needs — the cell and the captured
-//! standby input state — so that:
-//!
-//! * per-corner signoff re-prices the same rows at each corner library
-//!   without re-walking the netlist and simulator snapshot per corner;
-//! * after an ECO, [`LeakageLedger::refresh`] re-derives rows and
-//!   reports exactly which instances' contributions changed (scoped by a
-//!   [`DeltaBasis`] diff), which the incrementality tests assert.
+//! standby input state — so per-corner signoff re-prices the same rows
+//! at each corner library without re-walking the netlist and simulator
+//! snapshot per corner. [`LeakageLedger::refresh`] rebuilds every row
+//! from the current netlist and snapshot, and counts the rows whose
+//! contribution changed.
 //!
 //! Pricing replays the *same* per-class accumulation sequence as
 //! [`crate::leakage::standby_leakage`] / [`crate::leakage::active_leakage`]
@@ -19,7 +17,6 @@ use crate::leakage::LeakageBreakdown;
 use smt_cells::cell::{CellId, CellRole, VthClass};
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
-use smt_netlist::DeltaBasis;
 use smt_sim::{Simulator, Value};
 
 /// Cached leakage inputs of one instance slot.
@@ -50,12 +47,10 @@ pub enum PricingMode {
     ActiveMean,
 }
 
-/// Per-instance leakage rows plus the netlist basis they were captured
-/// against.
+/// Per-instance leakage rows, one per instance slot.
 #[derive(Debug, Clone, Default)]
 pub struct LeakageLedger {
     rows: Vec<LedgerRow>,
-    basis: DeltaBasis,
     /// Rows whose contribution changed in the last refresh.
     pub last_changed: usize,
     /// Rows carried over unchanged by the last refresh.
@@ -67,41 +62,26 @@ impl LeakageLedger {
     /// snapshot (run it in `Mode::Standby` first).
     pub fn capture(netlist: &Netlist, lib: &Library, sim: &Simulator) -> Self {
         let mut ledger = LeakageLedger::default();
-        ledger.rows = build_rows(netlist, lib, sim);
-        ledger.basis = DeltaBasis::of(netlist);
-        ledger.last_changed = ledger.rows.len();
-        ledger.last_reused = 0;
+        ledger.refresh(netlist, lib, sim);
         ledger
     }
 
-    /// Re-derives the rows against the current netlist and snapshot and
-    /// updates the basis, returning how many instances' leakage inputs
-    /// actually moved. `sim` must be the canonical standby snapshot of
-    /// `netlist` (the flow's fixed alternating-input vector): the
-    /// snapshot is then a pure function of the netlist, so a clean
-    /// [`DeltaBasis`] diff proves every row is still exact and the
-    /// rebuild is skipped outright. A non-empty delta re-derives rows
-    /// and counts the changed contributions (state shifts can radiate
-    /// past the structural delta through the simulator, so the re-read
-    /// covers all rows; the cheap integer work here is what keeps the
-    /// re-priced totals bit-identical).
+    /// Rebuilds every row from `netlist` and its standby snapshot `sim`,
+    /// returning how many instances' leakage inputs changed since the
+    /// previous rows. Always a full re-read: input states can move
+    /// without any structural edit (a new snapshot of the same netlist),
+    /// and the cheap integer work here is what keeps the re-priced
+    /// totals bit-identical to the from-scratch walks.
     pub fn refresh(&mut self, netlist: &Netlist, lib: &Library, sim: &Simulator) -> usize {
-        if self.basis.diff(netlist).is_empty() {
-            self.last_changed = 0;
-            self.last_reused = self.rows.len();
-            return 0;
-        }
         let rows = build_rows(netlist, lib, sim);
-        let mut changed = 0usize;
-        for (i, row) in rows.iter().enumerate() {
-            if self.rows.get(i) != Some(row) {
-                changed += 1;
-            }
-        }
+        let changed = rows
+            .iter()
+            .enumerate()
+            .filter(|&(i, row)| self.rows.get(i) != Some(row))
+            .count();
         self.last_changed = changed;
         self.last_reused = rows.len() - changed;
         self.rows = rows;
-        self.basis = DeltaBasis::of(netlist);
         changed
     }
 
@@ -214,9 +194,14 @@ mod tests {
     }
 
     fn standby_snapshot(n: &Netlist, lib: &Library) -> Simulator {
+        snapshot_with_b(n, lib, Value::Zero)
+    }
+
+    /// Standby snapshot with input `a` high and `b` at the given value.
+    fn snapshot_with_b(n: &Netlist, lib: &Library, b: Value) -> Simulator {
         let mut sim = Simulator::new(n, lib).unwrap();
         sim.set_input(n.find_net("a").unwrap(), Value::One);
-        sim.set_input(n.find_net("b").unwrap(), Value::Zero);
+        sim.set_input(n.find_net("b").unwrap(), b);
         sim.set_mode(Mode::Standby);
         sim.propagate(n, lib);
         sim
@@ -249,6 +234,25 @@ mod tests {
         assert_eq!(changed, 1, "only the swapped gate's row moves");
         assert_eq!(ledger.last_reused, n.inst_capacity() - 1);
 
+        let full = standby_leakage(&n, &lib, StateSource::Snapshot(&sim2));
+        assert_eq!(ledger.price(&lib, PricingMode::Standby), full);
+    }
+
+    #[test]
+    fn refresh_reads_a_new_snapshot_of_an_unchanged_netlist() {
+        let lib = Library::industrial_130nm();
+        let n = mixed(&lib);
+        let mut ledger = LeakageLedger::capture(&n, &lib, &snapshot_with_b(&n, &lib, Value::Zero));
+
+        // Same netlist, new input state: (a, b) = (1, 0) -> (1, 1) moves
+        // the low-Vth NAND into its leakiest state and flips the
+        // inverter's input.
+        let sim2 = snapshot_with_b(&n, &lib, Value::One);
+        assert_eq!(
+            ledger.refresh(&n, &lib, &sim2),
+            2,
+            "both gates' states moved"
+        );
         let full = standby_leakage(&n, &lib, StateSource::Snapshot(&sim2));
         assert_eq!(ledger.price(&lib, PricingMode::Standby), full);
     }

@@ -57,7 +57,8 @@ struct NetRoute {
 }
 
 /// Incremental global-routing session: cached per-net base routes plus
-/// the machinery to revalidate only what a netlist delta touched.
+/// the per-net pin fingerprints that revalidate them against any later
+/// netlist and placement.
 #[derive(Debug, Clone)]
 pub struct Router {
     config: RouteConfig,
@@ -176,14 +177,14 @@ impl Router {
         self.reroute_nets(netlist, lib, placement, config, None, workers);
     }
 
-    /// Incremental refresh. Only `candidates` (plus any nets created
-    /// since the last pass) are checked against their cached pin
-    /// fingerprints; stale ones get a fresh base route in parallel and
-    /// congestion resolution reruns over the full design. `candidates`
-    /// must cover every net whose pins moved or rebound — the flow
-    /// derives them from a [`smt_netlist::NetlistDelta`] plus a placement
-    /// move scan, which is complete by construction. Passing `None`
-    /// checks all nets.
+    /// Incremental refresh. With `candidates: None` — what
+    /// [`Router::refresh`], and so the flow, passes — every net's pin
+    /// fingerprint is recomputed and compared
+    /// with the cached one; stale nets get a fresh base route in
+    /// parallel and congestion resolution reruns over the full design.
+    /// `Some(set)` checks only `set` (plus any nets created since the
+    /// last pass), so it is only sound when `set` covers every net whose
+    /// pins moved or rebound.
     pub fn reroute_nets(
         &mut self,
         netlist: &Netlist,

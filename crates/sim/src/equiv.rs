@@ -36,7 +36,6 @@ use smt_base::{Fnv64, SplitMix64};
 use smt_cells::library::Library;
 use smt_netlist::graph::{topo_order, CombinationalCycle};
 use smt_netlist::netlist::{InstId, NetDriver, NetId, Netlist, PortDir};
-use smt_netlist::DeltaBasis;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How many divergences the checker keeps before giving up: enough
@@ -315,6 +314,7 @@ fn partition_cones(
 }
 
 /// Per-cone simulation result.
+#[derive(Debug, Clone)]
 struct ConeRun {
     mismatches: Vec<Mismatch>,
     cycles_run: usize,
@@ -449,51 +449,7 @@ pub fn check_equivalence_with(
     lib: &Library,
     opts: &EquivOptions,
 ) -> Result<EquivReport, EquivError> {
-    let (inputs, outputs) = paired_ports(reference, dut)?;
-    topo_order(reference, lib).map_err(EquivError::Cycle)?;
-    topo_order(dut, lib).map_err(EquivError::Cycle)?;
-
-    // Structural fast path: certified outputs skip simulation entirely.
-    let proven = if opts.fraig {
-        let names: Vec<String> = outputs.iter().map(|(n, _, _)| n.clone()).collect();
-        fraig::prove_equivalent_outputs(reference, dut, lib, &names, opts.seed).proven
-    } else {
-        BTreeSet::new()
-    };
-    let residue: Vec<usize> = (0..outputs.len())
-        .filter(|&i| !proven.contains(&outputs[i].0))
-        .collect();
-
-    let ref_cones: Vec<Vec<InstId>> = residue
-        .iter()
-        .map(|&i| fraig::dependency_closure(reference, lib, &[outputs[i].1]))
-        .collect();
-    let dut_cones: Vec<Vec<InstId>> = residue
-        .iter()
-        .map(|&i| fraig::dependency_closure(dut, lib, &[outputs[i].2]))
-        .collect();
-    let cones = partition_cones(reference, dut, &residue, &ref_cones, &dut_cones);
-    let runs: Vec<ConeRun> = parallel_map(&cones, opts.workers, |cone| {
-        run_cone(reference, dut, lib, &inputs, &outputs, cone, opts)
-    });
-
-    let mut mismatches: Vec<Mismatch> = runs.iter().flat_map(|r| r.mismatches.clone()).collect();
-    mismatches.sort_by(|a, b| (a.cycle, &a.output, a.lane).cmp(&(b.cycle, &b.output, b.lane)));
-    let mut truncated = runs.iter().any(|r| r.truncated);
-    if mismatches.len() > MISMATCH_CAP {
-        mismatches.truncate(MISMATCH_CAP);
-        truncated = true;
-    }
-    let cycles = runs.iter().map(|r| r.cycles_run).min().unwrap_or(0);
-    Ok(EquivReport {
-        cycles,
-        outputs_compared: outputs.len(),
-        outputs_proven: proven.len(),
-        cones: cones.len(),
-        lanes: 64,
-        truncated,
-        mismatches,
-    })
+    check(reference, dut, lib, opts, None)
 }
 
 /// Runs `cycles` random-stimulus clock cycles on both netlists and
@@ -522,129 +478,103 @@ pub fn check_equivalence(
     )
 }
 
-/// Cached per-output equivalence facts: the DUT-side fan-in closure
-/// (instances and incident nets) plus the cone fingerprint and fraig
-/// verdict captured when the output was last (re-)checked.
-#[derive(Debug, Clone)]
-struct OutputEntry {
-    ref_net: NetId,
-    dut_net: NetId,
-    proven: bool,
-    /// Reference-side fan-in closure, sorted (the reference is pinned
-    /// by the cache's base fingerprint, so this never goes stale).
-    ref_closure: Vec<InstId>,
-    /// DUT-side fan-in closure, sorted.
-    dut_closure: Vec<InstId>,
-    /// Every DUT net incident to the closure plus the output net,
-    /// sorted. A delta touching none of these nets and none of the
-    /// closure instances cannot change what this output computes.
-    cone_nets: Vec<NetId>,
-    /// Cone fingerprint (structure + stimulus binding), the verdict
-    /// cache key component for this output.
-    fp: u64,
-}
-
-/// A remembered [`ConeRun`], replayed verbatim on a fingerprint hit.
-#[derive(Debug, Clone)]
-struct CachedConeRun {
-    mismatches: Vec<Mismatch>,
-    cycles_run: usize,
-    truncated: bool,
-}
-
-/// Warm state for [`check_equivalence_cached`]: ECO-scoped equivalence
-/// re-checks.
+/// Verdict memo for [`check_equivalence_cached`]: the simulation results
+/// of residue cones (the outputs fraig does not prove), keyed by each
+/// cone's DUT content fingerprint.
 ///
-/// The cache pins the reference netlist and the options in a base
-/// fingerprint, keeps a [`DeltaBasis`] of the DUT it last verified, and
-/// stores per-output closures plus per-cone simulation verdicts keyed
-/// by cone fingerprint. On the next call only outputs whose fan-in
-/// closure intersects the DUT delta are re-fraiged and re-simulated;
-/// everything else inherits its cached verdict. The assembled report is
-/// bit-identical to [`check_equivalence_with`] on the same inputs:
-/// fraig verdicts are cone-local (a subset run returns the same
-/// per-output answers as the full run) and cone stimulus is a pure
-/// function of `(seed, input name, cycle)`, never of what else ran.
+/// A later check that partitions a cone with the same fingerprint
+/// replays its stored result instead of simulating it. The memo holds
+/// the cones of the last check only, and empties when the reference
+/// netlist's [`Netlist::fingerprint`] or the options change. Reports
+/// stay bit-identical to [`check_equivalence_with`]: cone stimulus is a
+/// pure function of `(seed, input name, cycle)`, never of what else ran.
 #[derive(Debug, Clone, Default)]
 pub struct EquivCache {
     base_fp: Option<u64>,
-    basis: DeltaBasis,
-    outputs: BTreeMap<String, OutputEntry>,
-    verdicts: BTreeMap<u64, CachedConeRun>,
-    /// Outputs whose verdicts were inherited untouched on the last call.
+    verdicts: BTreeMap<u64, ConeRun>,
+    /// Outputs whose verdicts were replayed from the memo on the last
+    /// call.
     pub last_outputs_inherited: usize,
     /// Residue cones actually simulated on the last call.
     pub last_cones_simulated: usize,
-    /// Residue cones replayed from the verdict cache on the last call.
+    /// Residue cones replayed from the memo on the last call.
     pub last_cones_inherited: usize,
 }
 
 impl EquivCache {
-    /// An empty cache; the first call through it runs everything.
+    /// An empty memo; the first call through it simulates every residue
+    /// cone.
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Each cone's run: replayed when the memo holds its fingerprint,
+    /// simulated otherwise. Afterwards the memo holds exactly these
+    /// cones.
+    fn runs(
+        &mut self,
+        base_fp: u64,
+        keys: &[u64],
+        cones: &[Cone],
+        workers: usize,
+        run: impl Fn(&Cone) -> ConeRun + Sync,
+    ) -> Vec<ConeRun> {
+        if self.base_fp != Some(base_fp) {
+            self.verdicts.clear();
+            self.base_fp = Some(base_fp);
+        }
+        let misses: Vec<usize> = (0..cones.len())
+            .filter(|&c| !self.verdicts.contains_key(&keys[c]))
+            .collect();
+        let mut fresh = parallel_map(&misses, workers, |&c| run(&cones[c])).into_iter();
+        let mut inherited = 0;
+        let runs: Vec<ConeRun> = keys
+            .iter()
+            .zip(cones)
+            .map(|(key, cone)| match self.verdicts.get(key) {
+                Some(memo) => {
+                    inherited += cone.outputs.len();
+                    memo.clone()
+                }
+                None => fresh.next().expect("one fresh run per miss"),
+            })
+            .collect();
+        self.last_outputs_inherited = inherited;
+        self.last_cones_simulated = misses.len();
+        self.last_cones_inherited = cones.len() - misses.len();
+        self.verdicts = keys.iter().copied().zip(runs.iter().cloned()).collect();
+        runs
+    }
 }
 
-/// Pins everything the per-output verdicts depend on besides the DUT:
-/// the reference netlist's structure, the stimulus options, and the
-/// port pairing on the reference side. Any change empties the cache.
-fn cache_base_fp(
-    reference: &Netlist,
-    opts: &EquivOptions,
-    inputs: &PairedPorts,
-    outputs: &PairedPorts,
-) -> u64 {
+/// Pins everything a memoized verdict depends on besides the DUT cone:
+/// the reference netlist and the stimulus options.
+fn memo_base_fp(reference: &Netlist, opts: &EquivOptions) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(DeltaBasis::of(reference).digest());
+    h.write_u64(reference.fingerprint());
     h.write_usize(opts.cycles);
     h.write_u64(opts.seed);
     h.write_bool(opts.fraig);
-    h.write_usize(inputs.len());
-    for (name, rn, _) in inputs {
-        h.write_str(name);
-        h.write_u64(u64::from(rn.0));
-    }
-    h.write_usize(outputs.len());
-    for (name, rn, _) in outputs {
-        h.write_str(name);
-        h.write_u64(u64::from(rn.0));
-    }
     h.finish()
 }
 
-/// All DUT nets whose value can feed the cone: the closure instances'
-/// pins plus the output net itself.
-fn cone_net_set(dut: &Netlist, dn: NetId, closure: &[InstId]) -> Vec<NetId> {
-    let mut nets: Vec<NetId> = closure
-        .iter()
-        .flat_map(|&id| dut.inst(id).conns.iter().flatten().copied())
-        .collect();
-    nets.push(dn);
-    nets.sort_unstable();
-    nets.dedup();
-    nets
-}
-
-/// Fingerprint of one output's DUT cone: closure instance structure,
-/// incident-net drivers (port drivers by *name*, because stimulus binds
-/// by name), and the paired net ids. Two outputs with equal
-/// fingerprints under the same base fingerprint compute the same
-/// function on the same stimulus.
-fn output_fp(
-    dut: &Netlist,
-    name: &str,
-    rn: NetId,
-    dn: NetId,
-    dut_closure: &[InstId],
-    cone_nets: &[NetId],
-) -> u64 {
+/// Fingerprint of one cone's DUT side: its outputs (names and paired
+/// nets), every scope instance's structure, and the driver of every net
+/// the scope touches (port drivers by *name*, because stimulus binds by
+/// name). Two cones with equal fingerprints under the same
+/// [`memo_base_fp`] compute the same functions on the same stimulus.
+fn cone_fp(dut: &Netlist, outputs: &PairedPorts, cone: &Cone) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str(name);
-    h.write_u64(u64::from(rn.0));
-    h.write_u64(u64::from(dn.0));
-    h.write_usize(dut_closure.len());
-    for &id in dut_closure {
+    h.write_usize(cone.outputs.len());
+    for &i in &cone.outputs {
+        let (name, rn, dn) = &outputs[i];
+        h.write_str(name);
+        h.write_u64(u64::from(rn.0));
+        h.write_u64(u64::from(dn.0));
+    }
+    h.write_usize(cone.dut_scope.len());
+    let mut nets: Vec<NetId> = cone.outputs.iter().map(|&i| outputs[i].2).collect();
+    for &id in &cone.dut_scope {
         let inst = dut.inst(id);
         h.write_u64(u64::from(id.0));
         h.write_str(&inst.name);
@@ -653,9 +583,12 @@ fn output_fp(
         for conn in &inst.conns {
             h.write_u64(conn.map_or(u64::MAX, |n| u64::from(n.0)));
         }
+        nets.extend(inst.conns.iter().flatten());
     }
-    h.write_usize(cone_nets.len());
-    for &nid in cone_nets {
+    nets.sort_unstable();
+    nets.dedup();
+    h.write_usize(nets.len());
+    for nid in nets {
         h.write_u64(u64::from(nid.0));
         match dut.net(nid).driver {
             None => h.write_u8(0),
@@ -673,17 +606,11 @@ fn output_fp(
     h.finish()
 }
 
-/// [`check_equivalence_with`], re-check scoped to what changed in the
-/// DUT since the cache last saw it.
-///
-/// Outputs whose cached fan-in closure intersects neither the delta's
-/// instances nor its nets inherit their fraig verdict and simulation
-/// result outright; only the rest are re-proven (fraig runs on just the
-/// stale name subset) and re-partitioned. Residue cones then consult a
-/// verdict cache keyed by cone fingerprint, so even a stale-but-
-/// structurally-identical cone replays instead of simulating. On a cold
-/// cache this *is* the uncached checker; on a warm cache the report —
-/// including its [`EquivReport::digest`] — is bit-identical to running
+/// [`check_equivalence_with`] through a verdict memo: fraig proves what
+/// it can, and each residue cone whose DUT fingerprint the memo holds
+/// replays its stored result instead of simulating. On an empty memo
+/// this *is* the uncached checker; on a warm one the report — including
+/// its [`EquivReport::digest`] — is bit-identical to running
 /// [`check_equivalence_with`] from scratch on the same pair.
 ///
 /// # Errors
@@ -696,118 +623,52 @@ pub fn check_equivalence_cached(
     opts: &EquivOptions,
     cache: &mut EquivCache,
 ) -> Result<EquivReport, EquivError> {
+    check(reference, dut, lib, opts, Some(cache))
+}
+
+/// The one checker body behind [`check_equivalence_with`] and
+/// [`check_equivalence_cached`].
+fn check(
+    reference: &Netlist,
+    dut: &Netlist,
+    lib: &Library,
+    opts: &EquivOptions,
+    cache: Option<&mut EquivCache>,
+) -> Result<EquivReport, EquivError> {
     let (inputs, outputs) = paired_ports(reference, dut)?;
     topo_order(reference, lib).map_err(EquivError::Cycle)?;
     topo_order(dut, lib).map_err(EquivError::Cycle)?;
 
-    let base = cache_base_fp(reference, opts, &inputs, &outputs);
-    if cache.base_fp != Some(base) {
-        cache.outputs.clear();
-        cache.verdicts.clear();
-        cache.basis = DeltaBasis::default();
-        cache.base_fp = Some(base);
-    }
-    let delta = cache.basis.diff(dut);
-
-    // Split outputs into inherited (cached cone provably untouched by
-    // the delta) and stale.
-    let mut entries: Vec<Option<OutputEntry>> = vec![None; outputs.len()];
-    let mut stale: Vec<usize> = Vec::new();
-    for (i, (name, rn, dn)) in outputs.iter().enumerate() {
-        let hit = cache.outputs.get(name).filter(|e| {
-            e.ref_net == *rn
-                && e.dut_net == *dn
-                && !e.dut_closure.iter().any(|id| delta.insts.contains(id))
-                && !e.cone_nets.iter().any(|n| delta.nets.contains(n))
-        });
-        match hit {
-            Some(e) => entries[i] = Some(e.clone()),
-            None => stale.push(i),
-        }
-    }
-    cache.last_outputs_inherited = outputs.len() - stale.len();
-
-    // Re-prove only the stale outputs. Fraig verdicts are per-output
-    // and cone-local, so the subset run answers exactly as a full run
-    // would for these names.
-    let newly_proven = if opts.fraig && !stale.is_empty() {
-        let names: Vec<String> = stale.iter().map(|&i| outputs[i].0.clone()).collect();
+    // Structural fast path: certified outputs skip simulation entirely.
+    let proven = if opts.fraig {
+        let names: Vec<String> = outputs.iter().map(|(n, _, _)| n.clone()).collect();
         fraig::prove_equivalent_outputs(reference, dut, lib, &names, opts.seed).proven
     } else {
         BTreeSet::new()
     };
-    for &i in &stale {
-        let (name, rn, dn) = &outputs[i];
-        let mut ref_closure = fraig::dependency_closure(reference, lib, &[*rn]);
-        ref_closure.sort_unstable();
-        ref_closure.dedup();
-        let mut dut_closure = fraig::dependency_closure(dut, lib, &[*dn]);
-        dut_closure.sort_unstable();
-        dut_closure.dedup();
-        let cone_nets = cone_net_set(dut, *dn, &dut_closure);
-        let fp = output_fp(dut, name, *rn, *dn, &dut_closure, &cone_nets);
-        entries[i] = Some(OutputEntry {
-            ref_net: *rn,
-            dut_net: *dn,
-            proven: newly_proven.contains(name),
-            ref_closure,
-            dut_closure,
-            cone_nets,
-            fp,
-        });
-    }
-    let entries: Vec<OutputEntry> = entries
-        .into_iter()
-        .map(|e| e.expect("every output slot filled"))
+    let residue: Vec<usize> = (0..outputs.len())
+        .filter(|&i| !proven.contains(&outputs[i].0))
         .collect();
 
-    let proven_count = entries.iter().filter(|e| e.proven).count();
-    let residue: Vec<usize> = (0..outputs.len()).filter(|&i| !entries[i].proven).collect();
     let ref_cones: Vec<Vec<InstId>> = residue
         .iter()
-        .map(|&i| entries[i].ref_closure.clone())
+        .map(|&i| fraig::dependency_closure(reference, lib, &[outputs[i].1]))
         .collect();
     let dut_cones: Vec<Vec<InstId>> = residue
         .iter()
-        .map(|&i| entries[i].dut_closure.clone())
+        .map(|&i| fraig::dependency_closure(dut, lib, &[outputs[i].2]))
         .collect();
     let cones = partition_cones(reference, dut, &residue, &ref_cones, &dut_cones);
+    let run = |cone: &Cone| run_cone(reference, dut, lib, &inputs, &outputs, cone, opts);
+    let runs: Vec<ConeRun> = match cache {
+        None => parallel_map(&cones, opts.workers, run),
+        Some(cache) => {
+            let keys: Vec<u64> = cones.iter().map(|c| cone_fp(dut, &outputs, c)).collect();
+            let base_fp = memo_base_fp(reference, opts);
+            cache.runs(base_fp, &keys, &cones, opts.workers, run)
+        }
+    };
 
-    // Per-cone verdict cache: key = ordered (output name, cone fp).
-    let keys: Vec<u64> = cones
-        .iter()
-        .map(|cone| {
-            let mut h = Fnv64::new();
-            h.write_usize(cone.outputs.len());
-            for &i in &cone.outputs {
-                h.write_str(&outputs[i].0);
-                h.write_u64(entries[i].fp);
-            }
-            h.finish()
-        })
-        .collect();
-    let misses: Vec<usize> = (0..cones.len())
-        .filter(|&c| !cache.verdicts.contains_key(&keys[c]))
-        .collect();
-    cache.last_cones_simulated = misses.len();
-    cache.last_cones_inherited = cones.len() - misses.len();
-
-    let fresh: Vec<ConeRun> = parallel_map(&misses, opts.workers, |&c| {
-        run_cone(reference, dut, lib, &inputs, &outputs, &cones[c], opts)
-    });
-    for (&c, run) in misses.iter().zip(&fresh) {
-        cache.verdicts.insert(
-            keys[c],
-            CachedConeRun {
-                mismatches: run.mismatches.clone(),
-                cycles_run: run.cycles_run,
-                truncated: run.truncated,
-            },
-        );
-    }
-    let runs: Vec<&CachedConeRun> = keys.iter().map(|k| &cache.verdicts[k]).collect();
-
-    // Assemble exactly as `check_equivalence_with` does.
     let mut mismatches: Vec<Mismatch> = runs.iter().flat_map(|r| r.mismatches.clone()).collect();
     mismatches.sort_by(|a, b| (a.cycle, &a.output, a.lane).cmp(&(b.cycle, &b.output, b.lane)));
     let mut truncated = runs.iter().any(|r| r.truncated);
@@ -816,19 +677,11 @@ pub fn check_equivalence_cached(
         truncated = true;
     }
     let cycles = runs.iter().map(|r| r.cycles_run).min().unwrap_or(0);
-    let num_cones = cones.len();
-
-    // Advance the cache to this DUT.
-    cache.basis = DeltaBasis::of(dut);
-    for (i, entry) in entries.into_iter().enumerate() {
-        cache.outputs.insert(outputs[i].0.clone(), entry);
-    }
-
     Ok(EquivReport {
         cycles,
         outputs_compared: outputs.len(),
-        outputs_proven: proven_count,
-        cones: num_cones,
+        outputs_proven: proven.len(),
+        cones: cones.len(),
         lanes: 64,
         truncated,
         mismatches,
@@ -1190,31 +1043,46 @@ mod tests {
     }
 
     #[test]
-    fn cached_checker_inherits_fraig_verdicts() {
+    fn cached_checker_memoizes_only_residue_cones() {
         let lib = lib();
-        let (a, mut b) = gate_bank(&lib, 6, 0);
+        // 6 gates, 1 functionally wrong: fraig proves five outputs, and
+        // only the wrong one's cone is simulated and memoized.
+        let (a, mut b) = gate_bank(&lib, 6, 1);
         let opts = EquivOptions {
             cycles: 24,
             seed: 5,
             ..EquivOptions::default() // fraig on
         };
         let mut cache = EquivCache::new();
-        let r = check_equivalence_cached(&a, &b, &lib, &opts, &mut cache).unwrap();
-        assert_eq!(r.outputs_proven, 6, "identical banks fully proven");
+        let cold = check_equivalence_cached(&a, &b, &lib, &opts, &mut cache).unwrap();
+        assert_eq!(cold.outputs_proven, 5);
+        assert_eq!(cache.last_cones_simulated, 1);
 
-        // Vth-style swap: one output goes stale, is re-proven by the
-        // subset fraig run; the other five inherit their proof without
-        // any fraig or simulation work.
+        // Vth-style swap on a proven output: fraig re-proves it, and the
+        // wrong output's unchanged cone replays from the memo.
         let u2 = b.find_inst("u2").unwrap();
         b.replace_cell(u2, lib.find_id("INV_X1_H").unwrap(), &lib)
             .unwrap();
         let scratch = check_equivalence_with(&a, &b, &lib, &opts).unwrap();
         let warm = check_equivalence_cached(&a, &b, &lib, &opts, &mut cache).unwrap();
         assert_eq!(scratch.digest(), warm.digest());
-        assert_eq!(warm.outputs_proven, 6);
-        assert_eq!(cache.last_outputs_inherited, 5);
+        assert_eq!(warm.outputs_proven, 5);
+        assert_eq!(cache.last_outputs_inherited, 1);
         assert_eq!(cache.last_cones_simulated, 0);
-        assert_eq!(warm.cycles, 0, "nothing simulated on either path");
+        assert_eq!(cache.last_cones_inherited, 1);
+
+        // A new reference empties the memo: the same DUT cones now face
+        // different logic and must be simulated again.
+        let no_fraig = EquivOptions {
+            fraig: false,
+            ..opts
+        };
+        check_equivalence_cached(&a, &b, &lib, &no_fraig, &mut cache).unwrap();
+        let scratch = check_equivalence_with(&b, &b, &lib, &no_fraig).unwrap();
+        let rerun = check_equivalence_cached(&b, &b, &lib, &no_fraig, &mut cache).unwrap();
+        assert!(rerun.is_equivalent());
+        assert_eq!(scratch.digest(), rerun.digest());
+        assert_eq!(cache.last_cones_inherited, 0);
     }
 
     #[test]

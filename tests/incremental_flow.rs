@@ -5,7 +5,9 @@
 //!
 //! * after a Vth swap and an ECO hold-fix what-if, routed lengths,
 //!   extracted RC, clock skew, leakage, the suite digest and the
-//!   equivalence-report digest all match the cold fork exactly;
+//!   equivalence-report digest all match the cold fork exactly — under
+//!   Dual-Vth and under Improved-SMT, whose post-route switch sizing
+//!   edits the netlist after routing;
 //! * `full_route_runs()` / `full_cts_runs()` stay at the single cold
 //!   pass across session what-ifs — warm forks re-route and re-buffer
 //!   incrementally, never from scratch;
@@ -61,6 +63,21 @@ fn base_config() -> FlowConfig {
     cfg
 }
 
+/// The implementation what-ifs every warm/cold comparison runs: a
+/// tighter high-Vth budget and two extra hold-fix rounds.
+fn what_ifs(cfg: &FlowConfig) -> (WhatIf, WhatIf) {
+    let swap = WhatIf::VthSwap {
+        dualvth: DualVthConfig {
+            max_high_fraction: Some(0.10),
+            ..cfg.dualvth.clone()
+        },
+    };
+    let eco = WhatIf::Eco {
+        hold_rounds: cfg.hold_rounds + 2,
+    };
+    (swap, eco)
+}
+
 fn assert_results_match(warm: &FlowResult, cold: &FlowResult, what: &str) {
     assert_eq!(
         SuiteOutcome::from_flow(warm).digest(),
@@ -111,15 +128,7 @@ fn warm_what_ifs_are_bit_identical_and_skip_full_route_and_cts() {
     assert_eq!(full_cts_runs() - cts0, 1, "base flow synthesizes one tree");
 
     let mut resolve = |set: &CornerSet| pool.corner_libs(&l, set).0.to_vec();
-    let swap = WhatIf::VthSwap {
-        dualvth: DualVthConfig {
-            max_high_fraction: Some(0.10),
-            ..cfg.dualvth.clone()
-        },
-    };
-    let eco = WhatIf::Eco {
-        hold_rounds: cfg.hold_rounds + 2,
-    };
+    let (swap, eco) = what_ifs(&cfg);
 
     // Warm what-ifs: the finals' caches ride along into the fork.
     let warm_swap = run_what_if(
@@ -163,6 +172,58 @@ fn warm_what_ifs_are_bit_identical_and_skip_full_route_and_cts() {
         let w = warm[0].result.as_ref().expect(what);
         let c = cold[0].result.as_ref().expect(what);
         assert_results_match(w, c, what);
+    }
+}
+
+/// Improved-SMT, the technique the benchmark runs: `ReoptSwitches`
+/// resizes switches after routing, so `EcoHoldFix` enters with routing
+/// and extraction behind the netlist and re-syncs them through the
+/// fingerprint scan — on warm forks, against the finals' grafted caches.
+#[test]
+fn improved_smt_warm_what_ifs_are_bit_identical() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let l = lib();
+    let cfg = FlowConfig {
+        technique: Technique::ImprovedSmt,
+        ..base_config()
+    };
+    let netlist = circuit_b_netlist(&l, 8);
+    let mut pool = LibraryPool::new();
+    let (corners, _) = pool.corner_libs(&l, &cfg.corners);
+    let mut session = Session::open(
+        "inc-imp",
+        "circuit-b",
+        1,
+        netlist,
+        cfg.clone(),
+        &l,
+        &corners,
+    )
+    .expect("session");
+    let (base, finals) = complete_flow(&l, &corners, &cfg, session.prefix()).expect("base flow");
+    session.set_finals(finals);
+    let reopt = base.reopt.as_ref().expect("improved flow re-optimizes");
+    assert!(
+        reopt.upsized + reopt.downsized > 0,
+        "switch re-sizing must edit the routed netlist"
+    );
+
+    let mut resolve = |set: &CornerSet| pool.corner_libs(&l, set).0.to_vec();
+    let (swap, eco) = what_ifs(&cfg);
+    for (what, label) in [(&swap, "vth-swap"), (&eco, "eco")] {
+        let warm = run_what_if(
+            &l,
+            &cfg,
+            session.prefix(),
+            session.finals(),
+            &mut resolve,
+            what,
+            1,
+        );
+        let cold = run_what_if(&l, &cfg, session.prefix(), None, &mut resolve, what, 1);
+        let w = warm[0].result.as_ref().expect(label);
+        let c = cold[0].result.as_ref().expect(label);
+        assert_results_match(w, c, label);
     }
 }
 
