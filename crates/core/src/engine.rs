@@ -50,7 +50,7 @@ use smt_netlist::check::{analyze_with_threads, Diagnostic, LintPolicy, Waiver};
 use smt_netlist::netlist::{Netlist, VthCensus};
 use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
-use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, Router};
+use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, RouteError, Router};
 use smt_sim::EquivCache;
 use smt_sta::{analyze, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
 use smt_synth::{synthesize, SynthError, SynthOptions};
@@ -318,6 +318,9 @@ pub enum FlowError {
     /// The placer refused its configuration
     /// ([`PlacerConfig::validate`]).
     Place(PlaceError),
+    /// The router refused its configuration ([`RouteConfig::validate`]);
+    /// checked before any stage runs.
+    Route(RouteError),
     /// Verification machinery failed.
     Verify(VerifyError),
     /// The final design misses timing even after re-clustering retries.
@@ -386,6 +389,7 @@ impl std::fmt::Display for FlowError {
             FlowError::Assign(e) => write!(f, "{e}"),
             FlowError::Cycle(e) => write!(f, "{e}"),
             FlowError::Place(e) => write!(f, "{e}"),
+            FlowError::Route(e) => write!(f, "{e}"),
             FlowError::Verify(e) => write!(f, "{e}"),
             FlowError::TimingNotMet { wns } => {
                 write!(f, "flow result misses timing (wns = {wns})")
@@ -428,6 +432,7 @@ impl std::error::Error for FlowError {
             FlowError::Assign(e) => Some(e),
             FlowError::Cycle(e) => Some(e),
             FlowError::Place(e) => Some(e),
+            FlowError::Route(e) => Some(e),
             FlowError::Verify(e) => Some(e),
             _ => None,
         }
@@ -1131,6 +1136,10 @@ impl<'a> FlowEngine<'a> {
         if let Err(message) = self.config.corners.validate() {
             return Err(FlowError::InvalidCorners { message });
         }
+        self.config
+            .route
+            .validate(self.lib)
+            .map_err(FlowError::Route)?;
         // Re-apply a pinned clock when forking a checkpoint whose prefix
         // selected a different (auto) period, with the same floor
         // `PlaceAndClock` enforces so resumed runs match fresh ones. Only

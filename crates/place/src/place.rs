@@ -248,20 +248,13 @@ impl Placement {
     /// Bounding box of a net's pins (instance centers + port locations).
     pub fn net_bbox(&self, netlist: &Netlist, net: NetId) -> Option<Rect> {
         let n = netlist.net(net);
-        let mut pts: Vec<Point> = Vec::new();
-        if let Some(NetDriver::Inst(pr)) = n.driver {
-            pts.push(self.loc(pr.inst));
-        }
-        if let Some(NetDriver::Port(p)) = n.driver {
-            pts.push(self.port_loc(p));
-        }
-        for pr in &n.loads {
-            pts.push(self.loc(pr.inst));
-        }
-        for p in &n.port_loads {
-            pts.push(self.port_loc(*p));
-        }
-        Rect::bounding(pts)
+        let driver = n.driver.map(|d| match d {
+            NetDriver::Inst(pr) => self.loc(pr.inst),
+            NetDriver::Port(p) => self.port_loc(p),
+        });
+        let loads = n.loads.iter().map(|pr| self.loc(pr.inst));
+        let port_loads = n.port_loads.iter().map(|&p| self.port_loc(p));
+        Rect::bounding(driver.into_iter().chain(loads).chain(port_loads))
     }
 
     /// Half-perimeter wirelength of one net, µm.
@@ -854,13 +847,13 @@ fn anneal_one(
     moves: usize,
 ) {
     let mut rng = SplitMix64::new(seed);
-    // Group dense indices by footprint so swaps stay legal. Ordered map:
-    // the group iteration order feeds the seeded RNG's swap choices, so a
-    // hash map's per-instance ordering would break the placement
+    // Group member positions by footprint so swaps stay legal. Ordered
+    // map: the group iteration order feeds the seeded RNG's swap choices,
+    // so a hash map's per-instance ordering would break the placement
     // determinism that checkpoints and sweeps rely on.
     let mut by_width: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for &d in members {
-        by_width.entry(weights[d] as usize).or_default().push(d);
+    for (k, &d) in members.iter().enumerate() {
+        by_width.entry(weights[d] as usize).or_default().push(k);
     }
     let groups: Vec<&Vec<usize>> = by_width.values().filter(|g| g.len() >= 2).collect();
     if groups.is_empty() {
@@ -875,6 +868,10 @@ fn anneal_one(
         v.dedup();
         v
     };
+    // Built once per window; a swap costs the union of both members'
+    // lists, gathered in one reused buffer.
+    let member_nets: Vec<Vec<NetId>> = members.iter().map(|&d| inst_nets(insts[d])).collect();
+    let mut nets: Vec<NetId> = Vec::new();
 
     let mut temp = temp0;
     let cooling = (0.02f64).powf(1.0 / moves.max(1) as f64);
@@ -887,9 +884,10 @@ fn anneal_one(
             temp *= cooling;
             continue;
         }
-        let (ia, ib) = (insts[a], insts[b]);
-        let mut nets: Vec<NetId> = inst_nets(ia);
-        nets.extend(inst_nets(ib));
+        let (ia, ib) = (insts[members[a]], insts[members[b]]);
+        nets.clear();
+        nets.extend_from_slice(&member_nets[a]);
+        nets.extend_from_slice(&member_nets[b]);
         nets.sort_unstable();
         nets.dedup();
         let before: f64 = nets.iter().map(|&n| placement.net_hpwl(netlist, n)).sum();
@@ -988,6 +986,148 @@ mod tests {
         let w0 = n.find_net("w0").unwrap();
         let bbox = p.net_bbox(&n, w0).unwrap();
         assert!(p.die.intersects(&bbox));
+    }
+
+    #[test]
+    fn net_bbox_matches_the_bounding_box_of_collected_pins() {
+        let lib = lib();
+        let mut n = chain(&lib, 12);
+        // The input net also gets a port load, so one net has a port
+        // driver, an instance load and a port load.
+        let a = n.find_net("a").unwrap();
+        n.expose_output("a_echo", a);
+        n.add_net("floating");
+        let p = place(&n, &lib, &PlacerConfig::default());
+        let (mut port_driven, mut port_loaded) = (0, 0);
+        for (id, net) in n.nets() {
+            // Every pin in order: driver, instance loads, port loads.
+            let mut pts: Vec<Point> = Vec::new();
+            match net.driver {
+                Some(NetDriver::Inst(pr)) => pts.push(p.loc(pr.inst)),
+                Some(NetDriver::Port(port)) => {
+                    port_driven += 1;
+                    pts.push(p.port_loc(port));
+                }
+                None => {}
+            }
+            pts.extend(net.loads.iter().map(|pr| p.loc(pr.inst)));
+            port_loaded += usize::from(!net.port_loads.is_empty());
+            pts.extend(net.port_loads.iter().map(|&port| p.port_loc(port)));
+            assert_eq!(p.net_bbox(&n, id), Rect::bounding(pts), "net {}", net.name);
+        }
+        assert!(port_driven >= 1 && port_loaded >= 2);
+        assert_eq!(p.net_bbox(&n, n.find_net("floating").unwrap()), None);
+    }
+
+    /// Reference annealing chain for the exactness oracle: each move
+    /// collects both instances' nets afresh.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_anneal_one(
+        netlist: &Netlist,
+        insts: &[InstId],
+        weights: &[f64],
+        placement: &mut Placement,
+        members: &[usize],
+        seed: u64,
+        temp0: f64,
+        moves: usize,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mut by_width: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        for &d in members {
+            by_width.entry(weights[d] as usize).or_default().push(d);
+        }
+        let groups: Vec<&Vec<usize>> = by_width.values().filter(|g| g.len() >= 2).collect();
+        if groups.is_empty() {
+            return;
+        }
+        let inst_nets = |inst: InstId| -> Vec<NetId> {
+            let i = netlist.inst(inst);
+            let mut v: Vec<NetId> = i.conns.iter().flatten().copied().collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let mut temp = temp0;
+        let cooling = (0.02f64).powf(1.0 / moves.max(1) as f64);
+        for _ in 0..moves {
+            let group = groups[rng.next_below(groups.len())];
+            let a = group[rng.next_below(group.len())];
+            let b = group[rng.next_below(group.len())];
+            if a == b {
+                temp *= cooling;
+                continue;
+            }
+            let (ia, ib) = (insts[a], insts[b]);
+            let mut nets: Vec<NetId> = inst_nets(ia);
+            nets.extend(inst_nets(ib));
+            nets.sort_unstable();
+            nets.dedup();
+            let before: f64 = nets.iter().map(|&n| placement.net_hpwl(netlist, n)).sum();
+            placement.locs.swap(ia.index(), ib.index());
+            let after: f64 = nets.iter().map(|&n| placement.net_hpwl(netlist, n)).sum();
+            let delta = after - before;
+            let accept = delta <= 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp();
+            if !accept {
+                placement.locs.swap(ia.index(), ib.index());
+            }
+            temp *= cooling;
+        }
+    }
+
+    #[test]
+    fn anneal_one_matches_the_reference_loop() {
+        let lib = lib();
+        let mut n = chain(&lib, 120);
+        // Mixed footprints, so swaps draw from several width groups.
+        let wide = lib.find_id("INV_X4_L").unwrap();
+        for i in (0..120).step_by(3) {
+            n.replace_cell(n.find_inst(&format!("u{i}")).unwrap(), wide, &lib)
+                .unwrap();
+        }
+        let start = place(
+            &n,
+            &lib,
+            &PlacerConfig {
+                anneal_moves_per_cell: 0,
+                ..PlacerConfig::default()
+            },
+        );
+        let insts: Vec<InstId> = n.instances().map(|(id, _)| id).collect();
+        let weights: Vec<f64> = insts
+            .iter()
+            .map(|&i| cell_sites(&lib, &n, i) as f64)
+            .collect();
+        let all: Vec<usize> = (0..insts.len()).collect();
+        let window: Vec<usize> = (10..insts.len()).step_by(2).collect();
+        for (seed, members) in [(1, &all), (7, &all), (3, &window)] {
+            let mut fast = start.clone();
+            let mut reference = start.clone();
+            let moves = 40 * members.len();
+            anneal_one(&n, &insts, &weights, &mut fast, members, seed, 20.0, moves);
+            reference_anneal_one(
+                &n,
+                &insts,
+                &weights,
+                &mut reference,
+                members,
+                seed,
+                20.0,
+                moves,
+            );
+            let bits = |p: &Placement| -> Vec<(u64, u64)> {
+                p.locs
+                    .iter()
+                    .map(|q| (q.x.to_bits(), q.y.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
+            assert_ne!(
+                bits(&fast),
+                bits(&start),
+                "seed {seed}: annealing moved nothing"
+            );
+        }
     }
 
     #[test]

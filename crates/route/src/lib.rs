@@ -27,6 +27,6 @@ pub mod steiner;
 pub use buffering::{buffer_net, BufferingConfig, BufferingReport};
 pub use cts::{full_cts_runs, synthesize_clock_tree, CtsConfig, CtsReport, CtsSession};
 pub use extract::{reextractions_avoided, NetParasitics, Parasitics};
-pub use global::{route_global, GlobalRoute, RouteConfig};
+pub use global::{route_global, GlobalRoute, RouteConfig, RouteError};
 pub use router::{full_route_runs, Router};
 pub use steiner::{steiner_tree, RouteTree};

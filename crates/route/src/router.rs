@@ -28,7 +28,7 @@
 //! netlist from scratch — the property the whole-flow incrementality
 //! tests digest-assert.
 
-use crate::global::{net_pins, GlobalRoute, Grid, RouteConfig};
+use crate::global::{net_pins, GlobalRoute, Grid, RouteConfig, SearchBuf};
 use crate::steiner::steiner_tree;
 use smt_base::fingerprint::Fnv64;
 use smt_base::geom::{Point, Rect};
@@ -40,6 +40,10 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FULL_ROUTE_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Stale nets per base-pass work item; each item reuses one
+/// [`SearchBuf`].
+const BASE_BATCH: usize = 64;
 
 /// Number of from-scratch global-routing passes since process start.
 /// Incremental [`Router::reroute_nets`] refreshes do not count; tests
@@ -307,15 +311,21 @@ impl Router {
         self.rrr_touched.clear();
 
         // Base pass over stale nets: pure per-net routing against an
-        // empty grid, fanned out with order-preserving `parallel_map`.
-        // Small deltas stay on this thread — spawning a worker pool
-        // costs more than routing a handful of nets.
+        // empty grid, fanned out with order-preserving `parallel_map` in
+        // batches that each reuse one search buffer. Small deltas stay
+        // on this thread — spawning a worker pool costs more than
+        // routing a handful of nets.
         let workers = if stale.len() < 32 { 1 } else { workers };
         let empty = Grid::empty(self.nx, self.ny, self.config.capacity);
-        let routed = parallel_map(&stale, workers, |&id| {
-            self.route_net(netlist, placement, &empty, id, 0.0)
+        let batches: Vec<&[NetId]> = stale.chunks(BASE_BATCH).collect();
+        let routed = parallel_map(&batches, workers, |batch| {
+            let mut buf = SearchBuf::default();
+            batch
+                .iter()
+                .map(|&id| self.route_net(netlist, placement, &empty, id, 0.0, &mut buf))
+                .collect::<Vec<_>>()
         });
-        for (&id, nr) in stale.iter().zip(routed) {
+        for (&id, nr) in stale.iter().zip(routed.into_iter().flatten()) {
             // `cur == base` holds everywhere now, so swapping a base
             // route in means swapping the same paths out of the grid.
             for path in &self.cur[id.index()].paths {
@@ -342,6 +352,7 @@ impl Router {
         // cacheable) base routes, the outcome is a function of the
         // netlist and placement alone, never of which base routes were
         // cached or what a previous resolution decided.
+        let mut buf = SearchBuf::default();
         for iter in 0..self.config.rrr_iterations {
             if grid.overflow() == 0 {
                 break;
@@ -359,7 +370,7 @@ impl Router {
                 for p in self.cur[id.index()].iter_paths() {
                     grid.apply(p, -1);
                 }
-                let nr = self.route_net(netlist, placement, &grid, id, weight);
+                let nr = self.route_net(netlist, placement, &grid, id, weight, &mut buf);
                 for p in nr.paths.iter() {
                     grid.apply(p, 1);
                 }
@@ -397,6 +408,7 @@ impl Router {
         grid: &Grid,
         id: NetId,
         weight: f64,
+        buf: &mut SearchBuf,
     ) -> NetRoute {
         let pins = net_pins(netlist, placement, id);
         if pins.len() < 2 {
@@ -413,7 +425,7 @@ impl Router {
                 length += tree.nodes[parent].manhattan(tree.nodes[child]);
                 continue;
             }
-            let path = grid.route(from, to, weight);
+            let path = grid.route(from, to, weight, buf);
             length += (path.len().saturating_sub(1)) as f64 * self.config.tile_um;
             paths.push(path);
         }

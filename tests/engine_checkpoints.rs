@@ -214,3 +214,63 @@ fn observers_walk_the_plan_in_order() {
         StageId::plan(Technique::ImprovedSmt),
     );
 }
+
+/// Route configs that used to panic, abort the process on a huge grid
+/// allocation, or route on NaN costs are refused with a typed error
+/// before any stage runs, on a fresh run and on a checkpoint resume.
+#[test]
+fn hostile_route_configs_are_rejected_before_any_stage() {
+    use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
+    use selective_mt::core::engine::Observer;
+    use selective_mt::route::RouteError;
+    use std::sync::{Arc, Mutex};
+
+    struct Starts(Arc<Mutex<Vec<StageId>>>);
+    impl Observer for Starts {
+        fn on_stage_start(&mut self, stage: StageId) {
+            self.0.lock().unwrap().push(stage);
+        }
+    }
+
+    let lib = Library::industrial_130nm();
+    let pipeline = standard_suite(SuiteScale::Smoke)
+        .into_iter()
+        .find(|w| w.config.family() == "pipeline")
+        .expect("smoke suite has a pipeline design");
+    let netlist = generate(&lib, &pipeline.config).expect("pipeline generates");
+    let prefix = FlowEngine::new(&lib, base_config(Technique::ImprovedSmt))
+        .run_until(&circuit_b_rtl_sized(6), StageId::PlaceAndClock)
+        .expect("valid prefix");
+
+    let hostile: [(f64, u32); 6] = [
+        (0.0, 14),
+        (1e-4, 14),
+        (-8.0, 14),
+        (f64::NAN, 14),
+        (f64::INFINITY, 14),
+        (8.0, 0),
+    ];
+    for (tile_um, capacity) in hostile {
+        let mut cfg = base_config(Technique::ImprovedSmt);
+        cfg.route.tile_um = tile_um;
+        cfg.route.capacity = capacity;
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let err = FlowEngine::new(&lib, cfg.clone())
+            .observe(Starts(started.clone()))
+            .run_netlist(netlist.clone())
+            .err()
+            .unwrap_or_else(|| panic!("tile_um {tile_um}, capacity {capacity} was accepted"));
+        let expected = if capacity == 0 {
+            matches!(err, FlowError::Route(RouteError::ZeroCapacity))
+        } else {
+            matches!(err, FlowError::Route(RouteError::BadTile { .. }))
+        };
+        assert!(expected, "tile_um {tile_um}, capacity {capacity}: {err}");
+        assert!(started.lock().unwrap().is_empty(), "a stage ran: {err}");
+        let resumed = FlowEngine::new(&lib, cfg).resume(&prefix);
+        assert!(
+            matches!(resumed, Err(FlowError::Route(_))),
+            "resume accepted tile_um {tile_um}, capacity {capacity}"
+        );
+    }
+}

@@ -9,7 +9,9 @@
 //!   that dies mid-request (retry reassigns its shard) and its merged
 //!   report digests identically to the unsharded in-process run;
 //! * garbage frames and unknown methods poison only their own
-//!   connection, and a drain leaves no half-served requests behind.
+//!   connection, and a drain leaves no half-served requests behind;
+//! * a hostile route config gets an error reply, and the daemon keeps
+//!   serving.
 
 use selective_mt::base::json::Json;
 use selective_mt::cells::library::Library;
@@ -345,6 +347,41 @@ fn garbage_frames_and_unknown_methods_poison_only_their_connection() {
             .expect("served")
             >= 3
     );
+    client.call("shutdown", obj(&[])).expect("shutdown");
+    await_finished(&handle);
+    handle.wait();
+}
+
+#[test]
+fn hostile_route_config_gets_an_error_reply_and_the_daemon_keeps_serving() {
+    let handle = daemon("hostile-route");
+    let mut client = connect(&handle);
+    let design = Json::Str(smallest_smoke().name);
+    let flow_with_tile = |tile_um: f64| {
+        obj(&[
+            ("design", design.clone()),
+            (
+                "config",
+                obj(&[("route", obj(&[("tile_um", Json::Num(tile_um))]))]),
+            ),
+        ])
+    };
+
+    // A 0.1 nm tile would size the routing grid at about a terabyte:
+    // an allocation failure aborts the process, which no panic guard
+    // catches. It must be refused before anything is routed.
+    match client.call("flow", flow_with_tile(1e-4)) {
+        Err(selective_mt::serve::CallError::Remote(e)) => {
+            assert!(e.message.contains("tile_um"), "got: {e:?}");
+        }
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+
+    // The same daemon answers a valid request afterwards.
+    let ok = client
+        .call("flow", flow_with_tile(8.0))
+        .expect("valid flow after a refused one");
+    assert!(ok.get("digest").and_then(Json::as_str).is_some());
     client.call("shutdown", obj(&[])).expect("shutdown");
     await_finished(&handle);
     handle.wait();
