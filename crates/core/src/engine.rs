@@ -445,7 +445,8 @@ impl std::error::Error for FlowError {
 
 /// Everything the stages read and write: the netlist under transformation,
 /// its golden reference, physical data, timing context and per-stage
-/// reports. Cloning a `DesignState` is how [`Checkpoint`]s fork flows.
+/// reports. Cloning a `DesignState` is how [`Checkpoint::restore`] forks
+/// flows.
 #[derive(Debug, Clone)]
 pub struct DesignState {
     /// The netlist being transformed.
@@ -743,6 +744,33 @@ impl FlowResult {
             netlist: state.netlist,
         })
     }
+
+    /// [`FlowResult::from_state`] on a borrowed state: clones only the
+    /// fields a result owns (netlist, golden, placement, reports), never
+    /// the router, parasitics or warm caches. `None` when a required
+    /// field is missing; the caller then takes the owning path, which
+    /// reports which one.
+    fn from_finished(state: &DesignState, lib: &Library) -> Option<Self> {
+        Some(FlowResult {
+            clock_period: state.clock_period?,
+            standby_leakage: state.standby_leakage?,
+            active_leakage: state.active_leakage?,
+            placement: state.placer.as_ref()?.placement().clone(),
+            dualvth: state.dualvth.clone()?,
+            hold_fix: state.hold_fix?,
+            timing: state.timing.clone()?,
+            verify: state.verify.clone()?,
+            census: state.netlist.vth_census(lib),
+            area: state.netlist.total_area(lib),
+            stages: state.stages.clone(),
+            cluster: state.cluster.clone(),
+            cts: state.cts.clone(),
+            reopt: state.reopt,
+            corner_signoff: state.corner_signoff.clone(),
+            golden: state.golden.clone(),
+            netlist: state.netlist.clone(),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -848,18 +876,22 @@ impl Observer for StageLogger {
 // Checkpoints
 // ---------------------------------------------------------------------------
 
-/// A frozen [`DesignState`] taken between stages. Restoring is a clone, so
-/// one checkpoint can fork arbitrarily many downstream flows (sweeps, the
-/// Table 1 three-technique comparison, ablations).
+/// A frozen [`DesignState`] taken between stages. Cloning a checkpoint
+/// shares the frozen state; [`Checkpoint::restore`] is the one deep copy,
+/// so one checkpoint can fork arbitrarily many downstream flows (sweeps,
+/// the Table 1 three-technique comparison, ablations) and each fork pays
+/// for exactly one copy.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    state: DesignState,
+    state: Arc<DesignState>,
 }
 
 impl Checkpoint {
     /// Wraps a state as a checkpoint.
     pub fn new(state: DesignState) -> Self {
-        Checkpoint { state }
+        Checkpoint {
+            state: Arc::new(state),
+        }
     }
 
     /// The last stage executed before the snapshot.
@@ -867,9 +899,9 @@ impl Checkpoint {
         self.state.last_stage()
     }
 
-    /// A fresh working copy of the frozen state.
+    /// A fresh, independent working copy of the frozen state.
     pub fn restore(&self) -> DesignState {
-        self.state.clone()
+        (*self.state).clone()
     }
 
     /// Read-only view of the frozen state.
@@ -1074,9 +1106,7 @@ impl<'a> FlowEngine<'a> {
     ///
     /// See [`FlowError`].
     pub fn run_netlist(&mut self, netlist: Netlist) -> Result<FlowResult, FlowError> {
-        let mut state = DesignState::from_netlist(netlist);
-        self.drive(&mut state, None, None)?;
-        FlowResult::from_state(state, self.lib)
+        self.resume_owned(DesignState::from_netlist(netlist))
     }
 
     /// Runs the plan from RTL up to and including `until`, returning a
@@ -1097,13 +1127,45 @@ impl<'a> FlowEngine<'a> {
     /// are skipped; a pinned `config.clock_period` is re-applied so sweeps
     /// can fork one placed prefix across different clocks.
     ///
+    /// A checkpoint that has already completed this plan is read without
+    /// a restore: the result clones only the fields it owns out of the
+    /// frozen state.
+    ///
     /// # Errors
     ///
     /// See [`FlowError`].
     pub fn resume(&mut self, checkpoint: &Checkpoint) -> Result<FlowResult, FlowError> {
-        let mut state = checkpoint.restore();
+        if let Some(result) = self.read_finished(checkpoint.state())? {
+            return Ok(result);
+        }
+        self.resume_owned(checkpoint.restore())
+    }
+
+    /// Drives an owned working state through the rest of the plan: the
+    /// copy-free [`FlowEngine::resume`] for forks that built their own
+    /// state.
+    pub(crate) fn resume_owned(&mut self, mut state: DesignState) -> Result<FlowResult, FlowError> {
         self.drive(&mut state, None, None)?;
         FlowResult::from_state(state, self.lib)
+    }
+
+    /// What [`FlowEngine::resume`] returns for a state that completed the
+    /// plan, computed on the borrowed state: the same checks as `drive`,
+    /// then [`FlowResult::from_finished`]. `Ok(None)` when a stage is
+    /// left to run, a pinned clock would change the state, or a report
+    /// is missing; the restoring path handles those.
+    fn read_finished(&self, state: &DesignState) -> Result<Option<FlowResult>, FlowError> {
+        if !self.stages.iter().all(|s| state.is_done(s.id())) {
+            return Ok(None);
+        }
+        self.preflight(None)?;
+        if let Some(pinned) = self.pinned_clock(state)? {
+            let sta_period = state.sta.as_ref().map(|sta| sta.clock_period);
+            if sta_period != Some(pinned) || state.clock_period != Some(pinned) {
+                return Ok(None);
+            }
+        }
+        Ok(FlowResult::from_finished(state, self.lib))
     }
 
     /// Like [`FlowEngine::resume`], but stops (inclusive) at `until` and
@@ -1122,12 +1184,9 @@ impl<'a> FlowEngine<'a> {
         Ok(Checkpoint::new(state))
     }
 
-    fn drive(
-        &mut self,
-        state: &mut DesignState,
-        rtl: Option<&str>,
-        until: Option<StageId>,
-    ) -> Result<(), FlowError> {
+    /// The checks made before any state is touched: `until` is in the
+    /// plan, and the corner set and route config are valid.
+    fn preflight(&self, until: Option<StageId>) -> Result<(), FlowError> {
         if let Some(stop) = until {
             if !self.stages.iter().any(|s| s.id() == stop) {
                 return Err(FlowError::StageNotInPlan { stage: stop });
@@ -1139,23 +1198,43 @@ impl<'a> FlowEngine<'a> {
         self.config
             .route
             .validate(self.lib)
-            .map_err(FlowError::Route)?;
-        // Re-apply a pinned clock when forking a checkpoint whose prefix
-        // selected a different (auto) period, with the same floor
-        // `PlaceAndClock` enforces so resumed runs match fresh ones. Only
-        // legal while nothing timing-dependent has run: past
-        // `AssignDualVth` the Vth assignment embeds the old period, and
-        // re-pinning would silently invalidate it.
-        if let (Some(sta), Some(pinned)) = (state.sta.as_mut(), self.config.clock_period) {
-            let pinned = pinned.max(MIN_CLOCK_PERIOD);
-            let committed = state.clock_period.unwrap_or(pinned);
-            let timing_done = state
-                .completed
-                .iter()
-                .any(|s| !matches!(s, StageId::Synthesize | StageId::PlaceAndClock));
-            if timing_done && pinned != committed {
-                return Err(FlowError::ClockRepinnedAfterTiming { pinned, committed });
-            }
+            .map_err(FlowError::Route)
+    }
+
+    /// The period a pinned `config.clock_period` re-applies to `state`
+    /// (`None` when nothing is pinned or no STA context exists yet).
+    ///
+    /// Re-pinning lets a fork of a checkpoint whose prefix selected a
+    /// different (auto) period run at the pinned one, with the same
+    /// floor `PlaceAndClock` enforces so resumed runs match fresh ones.
+    /// It is only legal while nothing timing-dependent has run: past
+    /// `AssignDualVth` the Vth assignment embeds the old period, and
+    /// re-pinning would silently invalidate it.
+    fn pinned_clock(&self, state: &DesignState) -> Result<Option<Time>, FlowError> {
+        let (Some(_), Some(pinned)) = (&state.sta, self.config.clock_period) else {
+            return Ok(None);
+        };
+        let pinned = pinned.max(MIN_CLOCK_PERIOD);
+        let committed = state.clock_period.unwrap_or(pinned);
+        let timing_done = state
+            .completed
+            .iter()
+            .any(|s| !matches!(s, StageId::Synthesize | StageId::PlaceAndClock));
+        if timing_done && pinned != committed {
+            return Err(FlowError::ClockRepinnedAfterTiming { pinned, committed });
+        }
+        Ok(Some(pinned))
+    }
+
+    fn drive(
+        &mut self,
+        state: &mut DesignState,
+        rtl: Option<&str>,
+        until: Option<StageId>,
+    ) -> Result<(), FlowError> {
+        self.preflight(until)?;
+        let pinned = self.pinned_clock(state)?;
+        if let (Some(sta), Some(pinned)) = (state.sta.as_mut(), pinned) {
             sta.clock_period = pinned;
             state.clock_period = Some(pinned);
         }

@@ -27,11 +27,14 @@
 //! locks. [`LibraryPool`] memoises corner characterisations keyed by
 //! `(Library::fingerprint(), corner-set fingerprint)`;
 //! [`SessionRegistry`] is a named map with reuse accounting. The
-//! daemon clones the cheap parts (checkpoints fork by design) out of
-//! the registry, runs outside its locks, and writes results back.
-//! Every forked run is wrapped in `catch_unwind`, so a panicking
-//! what-if poisons only its own reply ([`FlowError::RunPanicked`]),
-//! never the host.
+//! daemon clones a session's checkpoints out of the registry (a
+//! checkpoint clone shares its frozen state), runs outside its locks,
+//! and writes results back only to a session that still matches the
+//! design and configuration they were computed under. Each what-if
+//! fork deep-copies one checkpoint, once; reading a finished flow
+//! copies none. Every forked run is wrapped in `catch_unwind`, so a
+//! panicking what-if poisons only its own reply
+//! ([`FlowError::RunPanicked`]), never the host.
 //!
 //! Determinism contract (asserted by the tests below and end-to-end by
 //! `tests/serve_loopback.rs`): a flow completed from a session prefix
@@ -281,9 +284,22 @@ impl SessionRegistry {
         self.sessions.get(name)
     }
 
-    /// Mutable lookup (for writing back finals/fork counters).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Session> {
-        self.sessions.get_mut(name)
+    /// Mutable lookup of the session under `name` only while it still
+    /// [`Session::matches`] the design and configuration a result was
+    /// computed under — the check every write-back (finals, fork
+    /// counters) goes through. A request that ran outside the registry
+    /// lock may find the name re-opened under another design or config
+    /// by a concurrent request; that session gets `None`, not the stale
+    /// result.
+    pub fn get_matching_mut(
+        &mut self,
+        name: &str,
+        design_fp: u64,
+        config_fp: u64,
+    ) -> Option<&mut Session> {
+        self.sessions
+            .get_mut(name)
+            .filter(|s| s.matches(design_fp, config_fp))
     }
 
     /// Inserts a freshly opened session, counting an eviction when it
@@ -344,14 +360,14 @@ pub fn complete_flow(
 ) -> Result<(FlowResult, Checkpoint), FlowError> {
     let mut engine = FlowEngine::with_corner_libraries(lib, config.clone(), corner_libs.to_vec());
     let finals = engine.resume_until(prefix, StageId::Signoff)?;
-    // Every stage is recorded complete in `finals`, so this resume is a
-    // pure state→result conversion, not a re-run.
+    // Every stage is recorded complete in `finals`, so this resume reads
+    // the result out of the checkpoint: no stage re-runs, no restore.
     let result = engine.resume(&finals)?;
     Ok((result, finals))
 }
 
 /// Reads a [`FlowResult`] back out of a finals checkpoint without
-/// re-running anything.
+/// re-running or restoring anything.
 ///
 /// # Errors
 ///
@@ -423,8 +439,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// every signoff, so a fork whose implementation diverges from the
 /// finals simply recomputes the stale entries — reuse can change how
 /// much work the re-run does, never its result (the bit-identity the
-/// incremental-flow tests digest-assert).
-fn fork_prefix_with_warm_caches(prefix: &Checkpoint, finals: Option<&Checkpoint>) -> Checkpoint {
+/// incremental-flow tests digest-assert). Returns the fork's owned
+/// working state: the one copy of the prefix this fork pays for.
+fn fork_prefix_with_warm_caches(prefix: &Checkpoint, finals: Option<&Checkpoint>) -> DesignState {
     let mut state = prefix.restore();
     if let Some(finals) = finals {
         // Borrow the finals and clone only the five cache fields — the
@@ -437,18 +454,19 @@ fn fork_prefix_with_warm_caches(prefix: &Checkpoint, finals: Option<&Checkpoint>
         state.equiv_cache = warm.equiv_cache.clone();
         state.power_ledger = warm.power_ledger.clone();
     }
-    Checkpoint::new(state)
+    state
 }
 
-/// Runs one forked engine pass with panic isolation.
+/// Runs one forked engine pass on an owned working state, with panic
+/// isolation.
 fn run_forked(
     lib: &Library,
     corner_libs: Vec<CornerLibrary>,
     config: FlowConfig,
-    from: &Checkpoint,
+    from: DesignState,
 ) -> Result<FlowResult, FlowError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        FlowEngine::with_corner_libraries(lib, config, corner_libs).resume(from)
+        FlowEngine::with_corner_libraries(lib, config, corner_libs).resume_owned(from)
     }))
     .unwrap_or_else(|payload| {
         Err(FlowError::RunPanicked {
@@ -482,7 +500,7 @@ pub fn run_what_if(
             let from = fork_prefix_with_warm_caches(prefix, finals);
             vec![WhatIfRun {
                 label: "vth-swap".to_owned(),
-                result: run_forked(lib, corners, config, &from),
+                result: run_forked(lib, corners, config, from),
             }]
         }
         WhatIf::Eco { hold_rounds } => {
@@ -492,7 +510,7 @@ pub fn run_what_if(
             let from = fork_prefix_with_warm_caches(prefix, finals);
             vec![WhatIfRun {
                 label: "eco".to_owned(),
-                result: run_forked(lib, corners, config, &from),
+                result: run_forked(lib, corners, config, from),
             }]
         }
         WhatIf::Signoff { corners } => {
@@ -515,7 +533,7 @@ pub fn run_what_if(
                     let mut config = base.clone();
                     config.corners = corners.clone();
                     let corner_libs = corner_libs_for(&config.corners);
-                    run_forked(lib, corner_libs, config, &Checkpoint::new(state))
+                    run_forked(lib, corner_libs, config, state)
                 }
             };
             vec![WhatIfRun {
@@ -542,7 +560,7 @@ pub fn run_what_if(
                     .find(|(s, _)| *s == run.config.corners)
                     .map(|(_, l)| l.clone())
                     .unwrap_or_default();
-                run_forked(lib, corners, run.config.clone(), prefix)
+                run_forked(lib, corners, run.config.clone(), prefix.restore())
             });
             runs.iter()
                 .zip(results)
@@ -742,5 +760,47 @@ mod tests {
             }
         );
         assert_eq!(reg.names(), vec!["a"]);
+    }
+
+    /// A flow that finished after its session was re-opened under
+    /// another config must not hand its finals to the replacement.
+    #[test]
+    fn registry_refuses_finals_computed_under_a_replaced_config() {
+        let l = lib();
+        let (name, netlist) = small_netlist(&l);
+        let cfg = config();
+        let corners = build_corner_libs(&l, &cfg.corners);
+        let mut reg = SessionRegistry::new();
+        let old = Session::open("a", &name, 7, netlist.clone(), cfg.clone(), &l, &corners)
+            .expect("session");
+        let old_fp = old.config_fp;
+        let (_, stale) = complete_flow(&l, &corners, &cfg, old.prefix()).expect("flow");
+        reg.insert(old);
+
+        // A concurrent request re-opens the name under another config
+        // while the flow above was running.
+        let mut other = cfg.clone();
+        other.hold_rounds += 1;
+        let new = Session::open("a", &name, 7, netlist, other, &l, &corners).expect("re-open");
+        let new_fp = new.config_fp;
+        assert_ne!(old_fp, new_fp);
+        reg.insert(new);
+
+        assert!(reg.get_matching_mut("a", 7, old_fp).is_none());
+        if let Some(s) = reg.get_matching_mut("a", 7, old_fp) {
+            s.set_finals(stale);
+        }
+        assert!(
+            reg.get("a").expect("present").finals().is_none(),
+            "stale finals reached the replacement session"
+        );
+        assert!(
+            reg.get_matching_mut("a", 8, new_fp).is_none(),
+            "design changed"
+        );
+        assert!(
+            reg.get_matching_mut("a", 7, new_fp).is_some(),
+            "write-backs under the replacement's own identity go through"
+        );
     }
 }

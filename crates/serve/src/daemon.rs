@@ -5,14 +5,17 @@
 //! ## Warm state
 //!
 //! One [`Library`] is built at boot; corner characterisations are
-//! memoised in a [`LibraryPool`]; designs are realised through the
-//! on-disk [`DesignCache`] (canonical SNL form — every executor runs
-//! the same bytes); per-design [`Session`]s hold a placed-and-clocked
-//! prefix [`Checkpoint`] and, after the first full flow, a signed-off
-//! finals checkpoint. A warm `flow` request is therefore a checkpoint
-//! read, not a rebuild, and is bit-identical to the cold run (the
-//! response carries the outcome digest so clients can verify exactly
-//! that).
+//! memoised in a [`LibraryPool`]; per-design [`Session`]s hold a
+//! placed-and-clocked prefix [`Checkpoint`] and, after the first full
+//! flow, a signed-off finals checkpoint. A session is matched on the
+//! workload's config fingerprint, so only a cold open realises the
+//! design, through the on-disk [`DesignCache`] (canonical SNL form —
+//! every executor runs the same bytes). A warm `flow` request is
+//! therefore a read of the finals checkpoint: no design-cache read, no
+//! SNL parse, no checkpoint copy. It is bit-identical to the cold run
+//! (the response carries the outcome digest so clients can verify
+//! exactly that). A warm what-if deep-copies the one checkpoint it
+//! forks.
 //!
 //! ## Isolation
 //!
@@ -536,15 +539,9 @@ fn parse_flow_config(params: &Json) -> Result<FlowConfig, WireError> {
     Ok(config)
 }
 
-/// Finds the named workload at the given scale and realises it through
-/// the cache. Returns the canonical netlist, the design's content
-/// fingerprint, and this request's cache-stat delta.
-fn realise_design(
-    state: &Arc<State>,
-    design: &str,
-    scale: SuiteScale,
-) -> Result<(Netlist, u64, CacheStats), WireError> {
-    let workload = standard_suite(scale)
+/// Finds the named workload at the given scale.
+fn find_workload(design: &str, scale: SuiteScale) -> Result<Workload, WireError> {
+    standard_suite(scale)
         .into_iter()
         .find(|w| w.name == design)
         .ok_or_else(|| {
@@ -553,7 +550,15 @@ fn realise_design(
                 "unknown design `{design}` at this scale (available: {})",
                 names.join(", ")
             ))
-        })?;
+        })
+}
+
+/// Realises a workload through the design cache. Returns the canonical
+/// netlist and this request's cache-stat delta.
+fn realise_design(
+    state: &Arc<State>,
+    workload: &Workload,
+) -> Result<(Netlist, CacheStats), WireError> {
     let mut cache = recover(&state.cache);
     let before = cache.stats();
     let lib = &state.lib;
@@ -566,29 +571,50 @@ fn realise_design(
             || generate(lib, &workload.config).map_err(|e| e.to_string()),
         )
         .map_err(|e| WireError::new("flow", e.to_string()))?;
-    let delta = cache_delta(before, cache.stats());
-    Ok((netlist, workload.config.fingerprint(), delta))
+    Ok((netlist, cache_delta(before, cache.stats())))
 }
 
+/// A session's warm state as one request sees it. The checkpoints are
+/// clones that share the registry's frozen states.
 struct SessionView {
     name: String,
+    design_fp: u64,
+    config_fp: u64,
     prefix: Checkpoint,
     finals: Option<Checkpoint>,
     config: FlowConfig,
     reused: bool,
+    /// Design-cache delta: non-zero only when the session opened cold.
+    cache: CacheStats,
 }
 
-/// Looks up (or cold-opens) the session for `design` under `config`.
-/// The prefix run happens outside every lock; only the lookups and the
-/// final insert hold one.
+impl SessionView {
+    /// Applies `update` to the registry's session under this view's
+    /// name, but only while it still matches the design and config this
+    /// request ran under. The request ran outside the registry lock, so
+    /// a concurrent request may have re-opened the name under another
+    /// design or config; that session must not receive this request's
+    /// finals or counts.
+    fn write_back(&self, state: &State, update: impl FnOnce(&mut Session)) {
+        let mut sessions = recover(&state.sessions);
+        if let Some(s) = sessions.get_matching_mut(&self.name, self.design_fp, self.config_fp) {
+            update(s);
+        }
+    }
+}
+
+/// Looks up (or cold-opens) the session for `workload` under `config`.
+/// A warm session is matched on the workload's config fingerprint, so
+/// only a cold open realises the design. The realisation and the
+/// prefix run happen outside the registry lock; only the lookup and
+/// the final insert hold it.
 fn acquire_session(
     state: &Arc<State>,
     session_name: &str,
-    design: &str,
-    design_fp: u64,
-    netlist: Netlist,
+    workload: &Workload,
     config: &FlowConfig,
 ) -> Result<SessionView, WireError> {
+    let design_fp = workload.config.fingerprint();
     let config_fp = config_identity(config, &state.lib);
     {
         let mut sessions = recover(&state.sessions);
@@ -596,20 +622,24 @@ fn acquire_session(
             if s.matches(design_fp, config_fp) {
                 let view = SessionView {
                     name: session_name.to_owned(),
+                    design_fp,
+                    config_fp,
                     prefix: s.prefix().clone(),
                     finals: s.finals().cloned(),
                     config: s.config.clone(),
                     reused: true,
+                    cache: CacheStats::default(),
                 };
                 sessions.note_reuse();
                 return Ok(view);
             }
         }
     }
+    let (netlist, cache) = realise_design(state, workload)?;
     let (corner_libs, _) = recover(&state.pool).corner_libs(&state.lib, &config.corners);
     let session = Session::open_with_cache(
         session_name,
-        design,
+        &workload.name,
         design_fp,
         netlist,
         config.clone(),
@@ -620,10 +650,13 @@ fn acquire_session(
     .map_err(|e| WireError::new("flow", e.to_string()))?;
     let view = SessionView {
         name: session_name.to_owned(),
+        design_fp,
+        config_fp,
         prefix: session.prefix().clone(),
         finals: None,
         config: session.config.clone(),
         reused: false,
+        cache,
     };
     recover(&state.sessions).insert(session);
     Ok(view)
@@ -648,28 +681,25 @@ fn flow(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
         .unwrap_or(design)
         .to_owned();
 
-    let (netlist, design_fp, cache) = realise_design(state, design, scale)?;
+    let workload = find_workload(design, scale)?;
     let (corner_libs, library_warm) = recover(&state.pool).corner_libs(&state.lib, &config.corners);
-    let view = acquire_session(state, &session_name, design, design_fp, netlist, &config)?;
+    let view = acquire_session(state, &session_name, &workload, &config)?;
 
     let (result, finals_reused) = match &view.finals {
         Some(finals) => {
             let result = finals_result(&state.lib, &corner_libs, &view.config, finals)
                 .map_err(|e| WireError::new("flow", e.to_string()))?;
-            if let Some(s) = recover(&state.sessions).get_mut(&view.name) {
-                s.finals_reuses += 1;
-            }
+            view.write_back(state, |s| s.finals_reuses += 1);
             (result, true)
         }
         None => {
             let (result, finals) =
                 complete_flow(&state.lib, &corner_libs, &view.config, &view.prefix)
                     .map_err(|e| WireError::new("flow", e.to_string()))?;
-            let mut sessions = recover(&state.sessions);
-            if let Some(s) = sessions.get_mut(&view.name) {
+            view.write_back(state, |s| {
                 s.set_finals(finals);
                 s.forks += 1;
-            }
+            });
             (result, false)
         }
     };
@@ -679,7 +709,7 @@ fn flow(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
     stats.insert("library_warm".to_owned(), Json::Bool(library_warm));
     stats.insert("session_reused".to_owned(), Json::Bool(view.reused));
     stats.insert("finals_reused".to_owned(), Json::Bool(finals_reused));
-    stats.insert("cache".to_owned(), cache_stats_json(cache));
+    stats.insert("cache".to_owned(), cache_stats_json(view.cache));
     stats.insert(
         "elapsed_ms".to_owned(),
         Json::Num(t0.elapsed().as_millis() as f64),
@@ -770,8 +800,8 @@ fn what_if(state: &Arc<State>, method: &str, params: &Json) -> Result<Json, Wire
         .to_owned();
     let what = parse_what_if(method, params)?;
 
-    let (netlist, design_fp, cache) = realise_design(state, design, scale)?;
-    let view = acquire_session(state, &session_name, design, design_fp, netlist, &config)?;
+    let workload = find_workload(design, scale)?;
+    let view = acquire_session(state, &session_name, &workload, &config)?;
 
     let mut resolve =
         |set: &CornerSet| recover(&state.pool).corner_libs(&state.lib, set).0.to_vec();
@@ -784,9 +814,7 @@ fn what_if(state: &Arc<State>, method: &str, params: &Json) -> Result<Json, Wire
         &what,
         state.config.threads,
     );
-    if let Some(s) = recover(&state.sessions).get_mut(&view.name) {
-        s.forks += runs.len();
-    }
+    view.write_back(state, |s| s.forks += runs.len());
 
     let runs_json: Vec<Json> = runs
         .iter()
@@ -808,7 +836,7 @@ fn what_if(state: &Arc<State>, method: &str, params: &Json) -> Result<Json, Wire
         .collect();
     let mut stats = BTreeMap::new();
     stats.insert("session_reused".to_owned(), Json::Bool(view.reused));
-    stats.insert("cache".to_owned(), cache_stats_json(cache));
+    stats.insert("cache".to_owned(), cache_stats_json(view.cache));
     stats.insert(
         "elapsed_ms".to_owned(),
         Json::Num(t0.elapsed().as_millis() as f64),
@@ -924,7 +952,9 @@ fn lint(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
         Some(stage) => LintPolicy::for_stage(stage),
     };
     let threads = params.get("threads").and_then(Json::as_usize).unwrap_or(0);
-    let (netlist, design_fp, cache) = realise_design(state, design, scale)?;
+    let workload = find_workload(design, scale)?;
+    let design_fp = workload.config.fingerprint();
+    let (netlist, cache) = realise_design(state, &workload)?;
     let report = analyze_with_threads(&netlist, &state.lib, &policy, threads);
     let counts = report.counts();
     let mut m = BTreeMap::new();

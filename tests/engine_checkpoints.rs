@@ -12,6 +12,8 @@ use selective_mt::core::engine::{
     run_sweep, FlowEngine, FlowError, FlowResult, StageId, SweepRun, Technique,
 };
 use selective_mt::core::flow::{run_flow, FlowConfig};
+use selective_mt::core::session::complete_flow;
+use selective_mt::core::suite::SuiteOutcome;
 
 fn base_config(technique: Technique) -> FlowConfig {
     let mut cfg = FlowConfig {
@@ -86,19 +88,56 @@ fn resume_after_dualvth_is_bit_identical() {
 }
 
 /// One checkpoint can fork repeatedly: the snapshot is immutable and every
-/// fork sees the same state.
+/// fork sees the same state. Cloning a checkpoint shares that state;
+/// `restore` is the one deep copy. A finished checkpoint reads back as
+/// the result of the flow that produced it, however often it is read.
 #[test]
 fn checkpoint_forks_are_independent() {
     let lib = Library::industrial_130nm();
     let rtl = circuit_b_rtl_sized(8);
     let cfg = base_config(Technique::ImprovedSmt);
-    let mut engine = FlowEngine::new(&lib, cfg);
+    let mut engine = FlowEngine::new(&lib, cfg.clone());
     let checkpoint = engine
         .run_until(&rtl, StageId::PlaceAndClock)
         .expect("prefix");
     let first = engine.resume(&checkpoint).expect("first fork");
     let second = engine.resume(&checkpoint).expect("second fork");
     assert_bit_identical(&first, &second, "fork");
+
+    let shared = checkpoint.clone();
+    assert!(
+        std::ptr::eq(checkpoint.state(), shared.state()),
+        "a cloned checkpoint shares its state"
+    );
+    let frozen = checkpoint.state().netlist.fingerprint();
+    let mut restored = checkpoint.restore();
+    let (victim, _) = restored.netlist.instances().next().expect("an instance");
+    restored.netlist.remove_instance(victim);
+    assert_ne!(restored.netlist.fingerprint(), frozen, "the edit took");
+    assert_eq!(
+        checkpoint.state().netlist.fingerprint(),
+        frozen,
+        "editing a restored state leaves the checkpoint unchanged"
+    );
+    assert_eq!(shared.state().netlist.fingerprint(), frozen);
+
+    let corners = engine.corner_libraries().to_vec();
+    let (completed, finals) =
+        complete_flow(&lib, &corners, &cfg, &checkpoint).expect("completed flow");
+    let digest = |r: &FlowResult| SuiteOutcome::from_flow(r).digest();
+    assert_bit_identical(&completed, &first, "completed flow");
+    assert_eq!(digest(&completed), digest(&first), "completed flow");
+    for read in 0..2 {
+        let again = engine.resume(&finals).expect("finals read");
+        let what = format!("finals read {read}");
+        assert_bit_identical(&again, &completed, &what);
+        assert_eq!(digest(&again), digest(&completed), "{what}");
+        assert_eq!(
+            again.stages.iter().map(|s| s.id).collect::<Vec<_>>(),
+            first.stages.iter().map(|s| s.id).collect::<Vec<_>>(),
+            "{what}: stage walk"
+        );
+    }
 }
 
 /// `run_sweep` forks the shared prefix across techniques and matches the
@@ -167,7 +206,9 @@ fn resume_until_completed_stage_is_a_noop() {
 }
 
 /// A config that pins a different clock cannot resume a checkpoint whose
-/// dual-Vth assignment was computed for another period.
+/// dual-Vth assignment was computed for another period — nor read a
+/// completed one. Pinning the committed clock reads the completed
+/// checkpoint unchanged.
 #[test]
 fn repinning_clock_after_assignment_is_rejected() {
     let lib = Library::industrial_130nm();
@@ -178,15 +219,31 @@ fn repinning_clock_after_assignment_is_rejected() {
         .run_until(&rtl, StageId::AssignDualVth)
         .expect("prefix");
     let committed = checkpoint.state().clock_period.expect("clock chosen");
-    let mut repin = cfg;
+    let mut repin = cfg.clone();
     repin.clock_period = Some(committed * 0.5);
-    let err = FlowEngine::new(&lib, repin)
+    let err = FlowEngine::new(&lib, repin.clone())
         .resume(&checkpoint)
         .unwrap_err();
     assert!(
         matches!(err, FlowError::ClockRepinnedAfterTiming { .. }),
         "{err}"
     );
+
+    let finals = engine
+        .resume_until(&checkpoint, StageId::Signoff)
+        .expect("completed checkpoint");
+    let err = FlowEngine::new(&lib, repin).resume(&finals).unwrap_err();
+    assert!(
+        matches!(err, FlowError::ClockRepinnedAfterTiming { .. }),
+        "completed checkpoint: {err}"
+    );
+    let mut same = cfg;
+    same.clock_period = Some(committed);
+    let pinned = FlowEngine::new(&lib, same)
+        .resume(&finals)
+        .expect("pinning the committed clock");
+    let unpinned = engine.resume(&finals).expect("completed read");
+    assert_bit_identical(&pinned, &unpinned, "committed clock pinned");
 }
 
 /// Observers see every stage of the plan, in order.
@@ -217,7 +274,9 @@ fn observers_walk_the_plan_in_order() {
 
 /// Route configs that used to panic, abort the process on a huge grid
 /// allocation, or route on NaN costs are refused with a typed error
-/// before any stage runs, on a fresh run and on a checkpoint resume.
+/// before any stage runs, on a fresh run and on a checkpoint resume —
+/// including the resume of a completed checkpoint, where no stage is
+/// left to run.
 #[test]
 fn hostile_route_configs_are_rejected_before_any_stage() {
     use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
@@ -238,9 +297,13 @@ fn hostile_route_configs_are_rejected_before_any_stage() {
         .find(|w| w.config.family() == "pipeline")
         .expect("smoke suite has a pipeline design");
     let netlist = generate(&lib, &pipeline.config).expect("pipeline generates");
-    let prefix = FlowEngine::new(&lib, base_config(Technique::ImprovedSmt))
+    let mut valid = FlowEngine::new(&lib, base_config(Technique::ImprovedSmt));
+    let prefix = valid
         .run_until(&circuit_b_rtl_sized(6), StageId::PlaceAndClock)
         .expect("valid prefix");
+    let finals = valid
+        .resume_until(&prefix, StageId::Signoff)
+        .expect("valid completed checkpoint");
 
     let hostile: [(f64, u32); 6] = [
         (0.0, 14),
@@ -267,6 +330,11 @@ fn hostile_route_configs_are_rejected_before_any_stage() {
         };
         assert!(expected, "tile_um {tile_um}, capacity {capacity}: {err}");
         assert!(started.lock().unwrap().is_empty(), "a stage ran: {err}");
+        let completed = FlowEngine::new(&lib, cfg.clone()).resume(&finals);
+        assert!(
+            matches!(completed, Err(FlowError::Route(_))),
+            "completed resume accepted tile_um {tile_um}, capacity {capacity}"
+        );
         let resumed = FlowEngine::new(&lib, cfg).resume(&prefix);
         assert!(
             matches!(resumed, Err(FlowError::Route(_))),

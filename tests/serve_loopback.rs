@@ -3,7 +3,8 @@
 //! * a cold `flow` through `smtd` is bit-identical (same outcome
 //!   digest) to an in-process engine run on the same canonical
 //!   netlist, and a warm second `flow` reuses the characterised
-//!   library, the session, and the finals checkpoint — asserted via
+//!   library, the session, and the finals checkpoint, while it and a
+//!   warm what-if read nothing from the design cache — asserted via
 //!   the reply's stats, not timing;
 //! * a coordinator-driven two-worker sharded suite survives a worker
 //!   that dies mid-request (retry reassigns its shard) and its merged
@@ -59,6 +60,13 @@ fn stat_bool(reply: &Json, key: &str) -> Option<bool> {
         .and_then(Json::as_bool)
 }
 
+/// The `(hits, misses)` design-cache delta a reply's stats report.
+fn cache_reads(reply: &Json) -> (Option<usize>, Option<usize>) {
+    let cache = reply.get("stats").and_then(|s| s.get("cache"));
+    let count = |key| cache.and_then(|c| c.get(key)).and_then(Json::as_usize);
+    (count("hits"), count("misses"))
+}
+
 /// The smallest Smoke workload keeps full-flow tests fast.
 fn smallest_smoke() -> Workload {
     standard_suite(SuiteScale::Smoke)
@@ -103,8 +111,9 @@ fn warm_flow_is_bit_identical_to_cold_and_in_process_runs() {
     assert_eq!(cold_misses, Some(1), "cold flow realises the design once");
 
     // Warm: same request is served from the session's finals
-    // checkpoint, the library pool, and the design cache — and is
-    // bit-identical.
+    // checkpoint and the library pool — and is bit-identical. The
+    // session already holds the canonical netlist, so a warm request
+    // never touches the design cache.
     let warm = client.call("flow", params).expect("warm flow");
     assert_eq!(
         warm.get("digest").and_then(Json::as_str),
@@ -113,12 +122,11 @@ fn warm_flow_is_bit_identical_to_cold_and_in_process_runs() {
     assert_eq!(stat_bool(&warm, "library_warm"), Some(true));
     assert_eq!(stat_bool(&warm, "session_reused"), Some(true));
     assert_eq!(stat_bool(&warm, "finals_reused"), Some(true));
-    let warm_hits = warm
-        .get("stats")
-        .and_then(|s| s.get("cache"))
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_usize);
-    assert_eq!(warm_hits, Some(1), "warm flow reads the cached design");
+    assert_eq!(
+        cache_reads(&warm),
+        (Some(0), Some(0)),
+        "a warm flow reads no design from the cache"
+    );
 
     // A what-if forks the warm session without disturbing it: an ECO
     // with the default hold budget reproduces the base digest.
@@ -133,6 +141,11 @@ fn warm_flow_is_bit_identical_to_cold_and_in_process_runs() {
         )
         .expect("eco what-if");
     assert_eq!(stat_bool(&eco, "session_reused"), Some(true));
+    assert_eq!(
+        cache_reads(&eco),
+        (Some(0), Some(0)),
+        "a warm what-if reads no design from the cache"
+    );
     let runs = eco.get("runs").and_then(Json::as_arr).expect("eco runs");
     assert_eq!(runs.len(), 1);
     assert_eq!(
