@@ -5,7 +5,9 @@
 //! the level-parallel timing propagation in `smt-sta`. Centralising it
 //! here keeps the threading policy (scoped `std::thread` workers over an
 //! atomic work index, results returned in item order) in one place, with
-//! no dependency on anything above the foundation crate.
+//! no dependency on anything above the foundation crate. Fan-outs that
+//! isolate each item under `catch_unwind` report the caught panic with
+//! [`panic_message`].
 
 /// Applies `f` to every item on up to `threads` OS threads (`0` = one
 /// per available core), returning results in item order.
@@ -54,9 +56,27 @@ where
         .collect()
 }
 
+/// The message of a panic caught by `catch_unwind`: the payload when it
+/// is a `&str` or a `String` (what `panic!` produces), otherwise
+/// `"non-string panic payload"`.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_string_payloads() {
+        assert_eq!(panic_message(Box::new("static")), "static");
+        assert_eq!(panic_message(Box::new(format!("owned {}", 7))), "owned 7");
+        assert_eq!(panic_message(Box::new(7u8)), "non-string panic payload");
+    }
 
     #[test]
     fn results_come_back_in_item_order() {

@@ -11,7 +11,7 @@
 //!
 //! * `lint_throughput` — single-thread STA analysis time over
 //!   single-thread full-catalog lint time on the same design. Higher is
-//!   better. The per-stage `LintGate` is affordable because a full
+//!   better. The per-stage lint gate is affordable because a full
 //!   signoff lint costs about one STA pass; this ratio gates that the
 //!   deep rules (SCC, constant propagation, reverse reachability) keep
 //!   their allocation-free fast paths and stay in that regime.

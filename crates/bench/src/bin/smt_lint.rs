@@ -1,5 +1,5 @@
 //! `smt-lint`: standalone static analysis of SNL netlists — the same
-//! engine the flow's per-stage `LintGate`, the signoff verifier and the
+//! engine the flow's per-stage lint gate, the signoff verifier and the
 //! `smtd` daemon run, packaged as a CI gate for any design artifact.
 //!
 //! ```text

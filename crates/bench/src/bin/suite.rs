@@ -29,6 +29,9 @@
 //!   --no-cache                     regenerate every design from scratch
 //! ```
 //!
+//! `--cache-dir` and `--no-cache` govern the design cache only: every
+//! design is placed by its own flow run.
+//!
 //! Exits non-zero when any design fails its flow, its verification, or
 //! the independent pre- vs post-flow equivalence check (and, for
 //! `--merge`, when the merged report is missing shards). Shard JSON is
@@ -41,9 +44,11 @@
 use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale, Workload};
-use smt_core::cache::{snl_text_fingerprint, DesignCache, PlacementCache, DEFAULT_DIR};
+use smt_core::cache::{snl_text_fingerprint, DesignCache, DEFAULT_DIR};
 use smt_core::engine::{FlowConfig, Technique};
-use smt_core::suite::{plan_shards, render_suite, ShardStrategy, SuiteReport, WorkloadSuite};
+use smt_core::suite::{
+    plan_shards, render_suite, suite_fingerprint, ShardStrategy, SuiteReport, WorkloadSuite,
+};
 use smt_netlist::netlist::Netlist;
 use smt_synth::snl;
 use smt_synth::SynthOptions;
@@ -300,16 +305,6 @@ fn main() {
     } else {
         None
     };
-    // Placements memoise into the same directory (`.plc` beside the
-    // `.snl` entries), so the same `--cache-dir` / `--no-cache` pair
-    // governs both caches.
-    let placement_cache = if o.use_cache {
-        Some(std::sync::Arc::new(
-            PlacementCache::open(&o.cache_dir).unwrap_or_else(|e| fail(e)),
-        ))
-    } else {
-        None
-    };
     if let Some(dir) = &o.write_snl {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(format_args!("creating {dir}: {e}")));
     }
@@ -318,20 +313,17 @@ fn main() {
     // fingerprint is built from the same keys, shared by every shard
     // process (merge refuses reports whose lists differ).
     let keys: Vec<(&'static str, u64)> = entries.iter().map(Entry::key).collect();
-    let mut suite_fp = smt_base::fingerprint::Fnv64::new();
-    for (entry, (family, config_fp)) in entries.iter().zip(&keys) {
-        suite_fp.write_str(entry.name());
-        suite_fp.write_str(family);
-        suite_fp.write_u64(*config_fp);
-    }
+    let suite_fp = suite_fingerprint(
+        entries
+            .iter()
+            .zip(&keys)
+            .map(|(entry, &(family, config_fp))| (entry.name(), family, config_fp)),
+    );
     let mut suite = WorkloadSuite::new(config)
         .with_threads(o.threads)
         .with_equiv_cycles(o.equiv_cycles)
         .with_total_designs(entries.len())
-        .with_suite_fingerprint(suite_fp.finish());
-    if let Some(pc) = &placement_cache {
-        suite = suite.with_placement_cache(pc.clone());
-    }
+        .with_suite_fingerprint(suite_fp);
     for &idx in mine {
         let entry = &entries[idx];
         let netlist = entry
@@ -369,9 +361,6 @@ fn main() {
     print!("{}", render_suite(&report));
     if let Some(stats) = &report.cache {
         eprintln!("design cache ({}): {stats}", o.cache_dir);
-    }
-    if let Some(stats) = &report.placement_cache {
-        eprintln!("placement cache ({}): {stats}", o.cache_dir);
     }
     if let Some(path) = &o.json {
         std::fs::write(path, report.to_json().render())

@@ -25,10 +25,13 @@
 //! File layout: one `<family>-<config_fp>-<library_fp>.snl` per entry,
 //! flat in the cache directory, written via a temp-file rename so
 //! concurrent shard processes cannot observe torn entries.
+//!
+//! Designs are the only thing cached on disk. Placement reuse lives in
+//! the flow's checkpoints: a session places its design once, and every
+//! fork of its prefix or finals checkpoint inherits that `Placer`.
 
 use smt_cells::library::Library;
 use smt_netlist::netlist::Netlist;
-use smt_place::{decode_placement, encode_placement, PlaceError, Placer, PlacerConfig};
 use smt_synth::snl;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -278,157 +281,6 @@ pub fn snl_text_fingerprint(text: &str) -> u64 {
     smt_base::fingerprint::fingerprint_str(text)
 }
 
-// ---------------------------------------------------------------------------
-// Placement cache
-// ---------------------------------------------------------------------------
-
-/// On-disk memo of full placements, keyed by
-/// `(netlist fingerprint, placer-config fingerprint, library
-/// fingerprint)` — a placement is a pure function of exactly those
-/// three, so the key is the whole story. Entries are digest-verified
-/// placement text ([`smt_place::store`]) named
-/// `place-<netlist_fp>-<config_fp>-<library_fp>.plc`; they share the
-/// directory with [`DesignCache`] (whose stale sweep only matches
-/// `.snl`).
-///
-/// Same canonicalise-once contract as the design cache: a miss hands
-/// back the *decode of the stored text*, so cold-with-cache and warm
-/// runs place every cell on bit-identical coordinates.
-///
-/// Unlike [`DesignCache`], lookups take `&self` (stats behind a
-/// poison-tolerant mutex): the suite runtime shares one handle across
-/// its `parallel_map` workers.
-#[derive(Debug)]
-pub struct PlacementCache {
-    dir: PathBuf,
-    stats: std::sync::Mutex<CacheStats>,
-}
-
-impl PlacementCache {
-    /// Opens (creating if needed) the cache directory — typically the
-    /// same directory as the design cache.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CacheError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| CacheError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        Ok(PlacementCache {
-            dir,
-            stats: std::sync::Mutex::new(CacheStats::default()),
-        })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Counters accumulated by this handle.
-    pub fn stats(&self) -> CacheStats {
-        *self.lock()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheStats> {
-        // Poison-tolerant: a panicked flow thread must not wedge every
-        // other design's placement lookups.
-        self.stats.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn entry_path(&self, netlist_fp: u64, config_fp: u64, lib_fp: u64) -> PathBuf {
-        self.dir.join(format!(
-            "place-{netlist_fp:016x}-{config_fp:016x}-{lib_fp:016x}.plc"
-        ))
-    }
-
-    /// Returns a warm [`Placer`] for `(netlist, config, lib)`: a
-    /// digest-verified cache hit wraps the stored placement without
-    /// placing anything; a miss runs the full parallel placement,
-    /// stores it, and hands back the canonical decode of the stored
-    /// text. Corrupt entries are invalidated and re-placed; filesystem
-    /// trouble degrades to uncached behaviour (the placement still
-    /// happens, it just is not remembered).
-    ///
-    /// # Errors
-    ///
-    /// [`PlaceError`] when `config` is invalid — nothing is placed or
-    /// stored.
-    pub fn placer_for(
-        &self,
-        netlist: &Netlist,
-        lib: &Library,
-        config: &PlacerConfig,
-    ) -> Result<Placer, PlaceError> {
-        config.validate()?;
-        let netlist_fp = netlist.fingerprint();
-        let config_fp = config.fingerprint();
-        let path = self.entry_path(netlist_fp, config_fp, lib.fingerprint());
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            match decode_placement(&text) {
-                Ok(p) => {
-                    self.lock().hits += 1;
-                    return Ok(Placer::from_placement(p, config.clone()));
-                }
-                Err(_) => {
-                    self.lock().invalidated += 1;
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-        self.sweep_stale(netlist_fp, config_fp, &path);
-        let placer = Placer::with_threads(netlist, lib, config, 0)?;
-        let text = encode_placement(placer.placement());
-        self.lock().misses += 1;
-        match decode_placement(&text) {
-            Ok(canonical) => {
-                // Best-effort store: an unwritable cache directory means
-                // a slower run, not a failed one.
-                let _ = self.store(&path, &text);
-                Ok(Placer::from_placement(canonical, config.clone()))
-            }
-            // Unreachable in practice (encode→decode is total); degrade
-            // to the uncached placement rather than failing the flow.
-            Err(_) => Ok(placer),
-        }
-    }
-
-    /// Removes entries for the same `(netlist, config)` under a
-    /// *different* library fingerprint.
-    fn sweep_stale(&self, netlist_fp: u64, config_fp: u64, keep: &Path) {
-        let prefix = format!("place-{netlist_fp:016x}-{config_fp:016x}-");
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path == keep {
-                continue;
-            }
-            let stale = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".plc"));
-            if stale && std::fs::remove_file(&path).is_ok() {
-                self.lock().invalidated += 1;
-            }
-        }
-    }
-
-    fn store(&self, path: &Path, text: &str) -> Result<(), CacheError> {
-        let io_err = |p: &Path, e: std::io::Error| CacheError::Io {
-            path: p.display().to_string(),
-            message: e.to_string(),
-        };
-        let tmp = path.with_extension(format!("plc.tmp{}", std::process::id()));
-        std::fs::write(&tmp, text).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,129 +426,6 @@ mod tests {
         assert!(n.num_instances() > 0);
         assert_eq!(reopened.stats().invalidated, 1);
         assert_eq!(reopened.stats().misses, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn smoke_netlist(l: &Library) -> Netlist {
-        let w = standard_suite(SuiteScale::Smoke)
-            .into_iter()
-            .next()
-            .expect("smoke suite is non-empty");
-        generate(l, &w.config).expect("generate smoke design")
-    }
-
-    fn locs_bits(n: &Netlist, p: &smt_place::Placement) -> Vec<(u64, u64)> {
-        n.instances()
-            .map(|(id, _)| {
-                let q = p.loc(id);
-                (q.x.to_bits(), q.y.to_bits())
-            })
-            .collect()
-    }
-
-    #[test]
-    fn placement_cache_miss_then_hit_is_bit_identical() {
-        let l = lib();
-        let dir = temp_dir("plc-hit");
-        let n = smoke_netlist(&l);
-        let cfg = PlacerConfig::default();
-
-        let cache = PlacementCache::open(&dir).expect("open");
-        let cold = cache.placer_for(&n, &l, &cfg).expect("cold");
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 0);
-
-        let warm = PlacementCache::open(&dir).expect("reopen");
-        let hit = warm.placer_for(&n, &l, &cfg).expect("warm");
-        assert_eq!(warm.stats().hits, 1);
-        assert_eq!(warm.stats().misses, 0);
-        assert_eq!(
-            locs_bits(&n, cold.placement()),
-            locs_bits(&n, hit.placement()),
-            "warm placement must be bit-identical to cold"
-        );
-        // An invalid config errors before touching the cache.
-        let bad = PlacerConfig {
-            utilization: 0.0,
-            ..cfg
-        };
-        assert!(warm.placer_for(&n, &l, &bad).is_err());
-        assert_eq!(warm.stats().lookups(), 1, "failed validate is not a lookup");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn placement_cache_sweeps_stale_and_reproduces_corrupt_entries() {
-        let l = lib();
-        let dir = temp_dir("plc-sweep");
-        let n = smoke_netlist(&l);
-        let cfg = PlacerConfig::default();
-
-        let cache = PlacementCache::open(&dir).expect("open");
-        cache.placer_for(&n, &l, &cfg).expect("cold");
-
-        // Library change: same (netlist, config) under a new library
-        // fingerprint sweeps the old entry.
-        let tweaked = Library::generate(
-            Technology::industrial_130nm(),
-            LibraryConfig {
-                mt_delay_penalty_vgnd: 1.04,
-                ..LibraryConfig::default()
-            },
-        );
-        let cache2 = PlacementCache::open(&dir).expect("reopen");
-        cache2.placer_for(&n, &tweaked, &cfg).expect("re-place");
-        assert_eq!(cache2.stats().hits, 0);
-        assert_eq!(cache2.stats().misses, 1);
-        assert_eq!(cache2.stats().invalidated, 1, "stale entry swept");
-        let plc_entries = || -> Vec<PathBuf> {
-            std::fs::read_dir(&dir)
-                .expect("cache dir")
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "plc"))
-                .collect()
-        };
-        assert_eq!(plc_entries().len(), 1);
-
-        // Corrupt entry: invalidated and re-placed, never served.
-        std::fs::write(&plc_entries()[0], "SMTPLC 1\ngarbage\n").expect("corrupt");
-        let cache3 = PlacementCache::open(&dir).expect("reopen");
-        cache3.placer_for(&n, &tweaked, &cfg).expect("re-produce");
-        assert_eq!(cache3.stats().invalidated, 1);
-        assert_eq!(cache3.stats().misses, 1);
-        assert_eq!(cache3.stats().hits, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn placement_cache_shares_a_directory_with_the_design_cache() {
-        // The design cache's stale sweep only matches `.snl`; a `.plc`
-        // entry for the same fingerprints must survive it.
-        let l = lib();
-        let dir = temp_dir("plc-share");
-        let n = smoke_netlist(&l);
-        let cfg = PlacerConfig::default();
-        let pcache = PlacementCache::open(&dir).expect("open placement cache");
-        pcache.placer_for(&n, &l, &cfg).expect("fill");
-
-        let w = standard_suite(SuiteScale::Smoke)
-            .into_iter()
-            .next()
-            .expect("smoke suite is non-empty");
-        let mut dcache = DesignCache::open(&dir, &l).expect("open design cache");
-        dcache
-            .get_or_insert(
-                &w.name,
-                w.config.family(),
-                w.config.fingerprint(),
-                &l,
-                || produce(&l, &w.config),
-            )
-            .expect("design insert");
-        let warm = PlacementCache::open(&dir).expect("reopen");
-        warm.placer_for(&n, &l, &cfg).expect("still cached");
-        assert_eq!(warm.stats().hits, 1, "placement entry survived");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,7 +31,6 @@
 //! [`run_flow_netlist`](crate::flow::run_flow_netlist) entry points remain
 //! available as thin wrappers over the engine.
 
-use crate::cache::PlacementCache;
 use crate::cluster::{
     cluster_state, construct_switch_structure, ClusterConfig, SwitchStructureReport,
 };
@@ -42,11 +41,11 @@ use crate::smtgen::{
     insert_initial_switch, insert_output_holders, to_conventional_smt, to_improved_mt_cells,
 };
 use crate::verify::{standby_snapshot, verify_inner, VerifyError, VerifyReport};
-use smt_base::par::parallel_map;
+use smt_base::par::{panic_message, parallel_map};
 use smt_base::units::{Area, Current, Time};
 use smt_cells::corner::{hold_libs, setup_libs, Corner, CornerLibrary, CornerSet};
 use smt_cells::library::Library;
-use smt_netlist::check::{analyze_with_threads, Diagnostic, LintPolicy, Waiver};
+use smt_netlist::check::{analyze_with_threads, Diagnostic, LintPolicy};
 use smt_netlist::netlist::{Netlist, VthCensus};
 use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
@@ -363,7 +362,7 @@ pub enum FlowError {
         /// Which invariant failed.
         message: String,
     },
-    /// The per-stage [`LintGate`] found `Error`-severity diagnostics
+    /// The per-stage lint gate found `Error`-severity diagnostics
     /// after a stage ran: the stage left the netlist structurally
     /// broken, caught here before any downstream stage (or the
     /// simulation-based equivalence check) trips over the symptoms.
@@ -790,9 +789,6 @@ pub struct FlowContext<'a> {
     /// RTL-lite source ([`StageId::Synthesize`] input; absent when the
     /// flow was seeded from a netlist).
     pub rtl: Option<&'a str>,
-    /// On-disk placement memo ([`FlowEngine::with_placement_cache`]);
-    /// `None` places from scratch.
-    pub placement_cache: Option<&'a PlacementCache>,
 }
 
 impl<'a> FlowContext<'a> {
@@ -914,42 +910,22 @@ impl Checkpoint {
 // Lint gate
 // ---------------------------------------------------------------------------
 
-/// The per-stage static-analysis gate: after every completed stage the
-/// engine analyzes the working netlist under the stage-appropriate
-/// [`LintPolicy`] ([`LintPolicy::for_stage`] — MT-wiring rules only arm
-/// once the switch network exists) and converts `Error`-severity
-/// findings into [`FlowError::Lint`]. This replaced the scattered ad-hoc
-/// `lint(...)` call sites: a transform bug now fails the flow at the
+/// The per-stage static-analysis gate: after every completed stage but
+/// [`StageId::Signoff`] the engine analyzes the working netlist under
+/// [`LintPolicy::for_stage`] (MT-wiring rules only arm once the switch
+/// network exists) and converts `Error`-severity findings into
+/// [`FlowError::Lint`]. A transform bug therefore fails the flow at the
 /// stage that introduced it instead of surfacing as a confusing
 /// equivalence mismatch three stages later.
-///
-/// On by default on every engine; [`FlowEngine::without_lint_gate`]
-/// disables it (e.g. deliberately-broken netlists in tests),
-/// [`FlowEngine::with_lint_gate`] installs a customised gate.
-#[derive(Debug, Clone, Default)]
-pub struct LintGate {
-    /// Extra waivers applied on top of every stage policy.
-    pub waivers: Vec<Waiver>,
-    /// Worker count handed to the analyzer (`0` = one per core; the
-    /// report is bit-identical at any count).
-    pub threads: usize,
-}
-
-impl LintGate {
-    /// Analyzes `netlist` as the output of `stage`; `Err` carries the
-    /// error-severity findings.
-    pub fn check(&self, netlist: &Netlist, lib: &Library, stage: StageId) -> Result<(), FlowError> {
-        let mut policy = LintPolicy::for_stage(stage.key());
-        policy.waivers.extend(self.waivers.iter().cloned());
-        let report = analyze_with_threads(netlist, lib, &policy, self.threads);
-        if report.is_clean() {
-            return Ok(());
-        }
-        Err(FlowError::Lint {
-            stage,
-            errors: report.errors().cloned().collect(),
-        })
+fn lint_gate(netlist: &Netlist, lib: &Library, stage: StageId) -> Result<(), FlowError> {
+    let report = analyze_with_threads(netlist, lib, &LintPolicy::for_stage(stage.key()), 0);
+    if report.is_clean() {
+        return Ok(());
     }
+    Err(FlowError::Lint {
+        stage,
+        errors: report.errors().cloned().collect(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -969,8 +945,6 @@ pub struct FlowEngine<'a> {
     corner_libs: Vec<CornerLibrary>,
     stages: Vec<Box<dyn Stage + 'a>>,
     observers: Vec<Box<dyn Observer + 'a>>,
-    placement_cache: Option<Arc<PlacementCache>>,
-    lint_gate: Option<LintGate>,
 }
 
 /// Characterises the configured corners against the base library; an
@@ -1017,8 +991,6 @@ impl<'a> FlowEngine<'a> {
             corner_libs,
             stages,
             observers: Vec::new(),
-            placement_cache: None,
-            lint_gate: Some(LintGate::default()),
         }
     }
 
@@ -1035,35 +1007,7 @@ impl<'a> FlowEngine<'a> {
             corner_libs,
             stages,
             observers: Vec::new(),
-            placement_cache: None,
-            lint_gate: Some(LintGate::default()),
         }
-    }
-
-    /// Attaches an on-disk placement cache (builder style): the
-    /// `PlaceAndClock` stage serves warm, digest-verified placements
-    /// instead of re-placing, and stores what it places. The `Arc` lets
-    /// one cache back every engine of a suite run concurrently.
-    #[must_use]
-    pub fn with_placement_cache(mut self, cache: Arc<PlacementCache>) -> Self {
-        self.placement_cache = Some(cache);
-        self
-    }
-
-    /// Installs a customised [`LintGate`] (builder style).
-    #[must_use]
-    pub fn with_lint_gate(mut self, gate: LintGate) -> Self {
-        self.lint_gate = Some(gate);
-        self
-    }
-
-    /// Disables the per-stage [`LintGate`] (builder style) — for flows
-    /// that deliberately drive broken netlists, e.g. fault-injection
-    /// tests.
-    #[must_use]
-    pub fn without_lint_gate(mut self) -> Self {
-        self.lint_gate = None;
-        self
     }
 
     /// The per-corner libraries this engine signs off against, in
@@ -1243,7 +1187,6 @@ impl<'a> FlowEngine<'a> {
             corners: &self.corner_libs,
             config: &self.config,
             rtl,
-            placement_cache: self.placement_cache.as_deref(),
         };
         for stage in &self.stages {
             let id = stage.id();
@@ -1258,10 +1201,8 @@ impl<'a> FlowEngine<'a> {
                 // `Error` finding is a transform bug in *this* stage.
                 // Signoff is exempt — `verify` just ran the full
                 // signoff-policy analysis itself.
-                if let Some(gate) = &self.lint_gate {
-                    if id != StageId::Signoff {
-                        gate.check(&state.netlist, self.lib, id)?;
-                    }
+                if id != StageId::Signoff {
+                    lint_gate(&state.netlist, self.lib, id)?;
                 }
                 state.completed.push(id);
                 state.snapshot(id, self.lib);
@@ -1332,15 +1273,7 @@ impl Stage for PlaceAndClock {
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
         let cfg = ctx.config;
-        // Placement is a pure function of (netlist, placer config,
-        // library): with a cache attached, warm runs skip the full
-        // parallel placement and load bit-identical coordinates.
-        let placer = match ctx.placement_cache {
-            Some(cache) => cache
-                .placer_for(&state.netlist, ctx.lib, &cfg.placer)
-                .map_err(FlowError::Place)?,
-            None => Placer::new(&state.netlist, ctx.lib, &cfg.placer).map_err(FlowError::Place)?,
-        };
+        let placer = Placer::new(&state.netlist, ctx.lib, &cfg.placer).map_err(FlowError::Place)?;
         let parasitics = Parasitics::estimate(&state.netlist, ctx.lib, placer.placement());
 
         // Clock selection: probe the all-low critical delay with a huge
@@ -1898,7 +1831,9 @@ pub fn run_sweep(
     threads: usize,
 ) -> Result<Vec<SweepOutcome>, FlowError> {
     let checkpoint = FlowEngine::new(lib, base.clone()).run_until(rtl, StageId::PlaceAndClock)?;
-    Ok(fork_sweep(lib, &checkpoint, runs, threads))
+    Ok(fork_sweep(lib, &checkpoint, runs, threads, &mut |set| {
+        build_corner_libs(lib, set)
+    }))
 }
 
 // The shared fan-out worker pool lives in `smt_base::par::parallel_map`
@@ -1908,22 +1843,29 @@ pub fn run_sweep(
 
 /// The fan-out half of [`run_sweep`]: forks an existing checkpoint across
 /// `runs`, in parallel on up to `threads` OS threads (`0` = one per
-/// available core). Results come back in `runs` order.
+/// available core). Results come back in `runs` order, and a run that
+/// panics comes back as [`FlowError::RunPanicked`].
+///
+/// `corner_libs_for` resolves the characterised corner libraries of a
+/// corner set: [`run_sweep`] characterises cold, the session what-ifs
+/// read the daemon's warm [`LibraryPool`](crate::session::LibraryPool).
 pub fn fork_sweep(
     lib: &Library,
     checkpoint: &Checkpoint,
     runs: &[SweepRun],
     threads: usize,
+    corner_libs_for: &mut dyn FnMut(&CornerSet) -> Vec<CornerLibrary>,
 ) -> Vec<SweepOutcome> {
-    // Characterise each distinct corner set once, up front; the forked
-    // engines clone the result instead of regenerating the non-identity
-    // corner libraries per run.
+    // Resolve each distinct corner set once, serially and up front (the
+    // resolver may be backed by a shared pool); the forked engines clone
+    // the result instead of regenerating the non-identity corner
+    // libraries per run.
     let mut corner_cache: Vec<(CornerSet, Vec<CornerLibrary>)> = Vec::new();
     for run in runs {
         if !corner_cache.iter().any(|(s, _)| *s == run.config.corners) {
             corner_cache.push((
                 run.config.corners.clone(),
-                build_corner_libs(lib, &run.config.corners),
+                corner_libs_for(&run.config.corners),
             ));
         }
     }
@@ -1939,12 +1881,9 @@ pub fn fork_sweep(
             FlowEngine::with_corner_libraries(lib, run.config.clone(), corners).resume(checkpoint)
         }))
         .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(FlowError::RunPanicked { message })
+            Err(FlowError::RunPanicked {
+                message: panic_message(payload),
+            })
         })
     });
     runs.iter()
@@ -1992,7 +1931,10 @@ pub fn run_three_techniques(
         SweepRun::new("conventional", conv_cfg),
         SweepRun::new("improved", imp_cfg),
     ];
-    let mut outcomes = fork_sweep(lib, &checkpoint, &runs, 2).into_iter();
+    let mut outcomes = fork_sweep(lib, &checkpoint, &runs, 2, &mut |set| {
+        build_corner_libs(lib, set)
+    })
+    .into_iter();
     let conv = outcomes.next().expect("two outcomes").result?;
     let imp = outcomes.next().expect("two outcomes").result?;
     Ok([dual, conv, imp])

@@ -25,8 +25,7 @@
 //!   deterministic sharding with mergeable JSON reports;
 //! * [`cache`] — the on-disk design cache: generated/ingested netlists
 //!   stored as SNL, keyed by `(family, config, seed, library
-//!   fingerprint)`, plus the digest-verified placement cache keyed by
-//!   `(netlist, placer config, library)` fingerprints;
+//!   fingerprint)`;
 //! * [`session`] — warm what-if sessions over checkpoints (prefix
 //!   forks, finals replay, corner re-signoff) and the memoised corner
 //!   [`session::LibraryPool`] — the state the `smtd` daemon keeps
@@ -62,7 +61,7 @@ pub mod smtgen;
 pub mod suite;
 pub mod verify;
 
-pub use cache::{CacheStats, DesignCache, PlacementCache};
+pub use cache::{CacheStats, DesignCache};
 pub use cluster::{construct_switch_structure, ClusterConfig, SwitchStructureReport};
 pub use crosstalk::{analyze_crosstalk, worst_noise, CrosstalkConfig, CrosstalkReport};
 pub use dualvth::{assign_dual_vth, assign_dual_vth_at_corners, DualVthConfig, DualVthReport};
@@ -79,7 +78,7 @@ pub use session::{
     SessionRegistry, SessionStats, WhatIf, WhatIfRun,
 };
 pub use suite::{
-    plan_shards, render_suite, MergeError, ShardPlan, ShardStrategy, StageProfile, StageSample,
-    SuiteOutcome, SuiteReport, SuiteRow, WorkloadSuite,
+    plan_shards, render_suite, suite_fingerprint, MergeError, ShardPlan, ShardStrategy,
+    StageProfile, StageSample, SuiteOutcome, SuiteReport, SuiteRow, WorkloadSuite,
 };
 pub use verify::{mirror_control_ports, verify, VerifyReport};

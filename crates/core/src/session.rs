@@ -20,8 +20,8 @@
 //!   stage, and re-signs the finished design off at a different
 //!   [`CornerSet`] — no re-implementation at all;
 //! * [`WhatIf::Sweep`] fans the prefix across arbitrary configurations
-//!   on the shared worker pool (the `run_sweep` shape, with warm
-//!   corner libraries).
+//!   on the shared worker pool ([`fork_sweep`], with warm corner
+//!   libraries).
 //!
 //! Everything here is pure with respect to the daemon: no sockets, no
 //! locks. [`LibraryPool`] memoises corner characterisations keyed by
@@ -43,15 +43,14 @@
 //! and re-signing off at the session's own corners reproduces the
 //! stored finals exactly.
 
-use crate::cache::PlacementCache;
 use crate::config_io::JsonConfig;
 use crate::dualvth::DualVthConfig;
 use crate::engine::{
-    build_corner_libs, Checkpoint, DesignState, FlowConfig, FlowEngine, FlowError, FlowResult,
-    StageId, SweepRun,
+    build_corner_libs, fork_sweep, Checkpoint, DesignState, FlowConfig, FlowEngine, FlowError,
+    FlowResult, StageId, SweepRun,
 };
 use smt_base::fingerprint::Fnv64;
-use smt_base::par::parallel_map;
+use smt_base::par::panic_message;
 use smt_cells::corner::{CornerLibrary, CornerSet};
 use smt_cells::library::Library;
 use smt_netlist::netlist::Netlist;
@@ -156,7 +155,9 @@ pub struct Session {
 
 impl Session {
     /// Opens a session: runs the synthesis/placement/clock prefix once
-    /// and snapshots it.
+    /// and snapshots it. The prefix checkpoint carries the
+    /// [`Placer`](smt_place::Placer) session, which every what-if fork
+    /// inherits — forks re-place incrementally, never from scratch.
     ///
     /// # Errors
     ///
@@ -170,48 +171,10 @@ impl Session {
         lib: &Library,
         corner_libs: &[CornerLibrary],
     ) -> Result<Session, FlowError> {
-        Self::open_with_cache(
-            name,
-            design,
-            design_fp,
-            netlist,
-            config,
-            lib,
-            corner_libs,
-            None,
-        )
-    }
-
-    /// [`Session::open`] with an optional shared [`PlacementCache`]: the
-    /// prefix's placement stage is served from disk when the cache holds
-    /// the `(netlist, placer config, library)` key, so reopening a
-    /// session for a known design skips the placement kernel entirely.
-    /// The resulting prefix checkpoint carries the warm
-    /// [`Placer`](smt_place::Placer) session, which every what-if fork
-    /// inherits — forks re-place incrementally, never from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Any prefix-stage [`FlowError`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_with_cache(
-        name: impl Into<String>,
-        design: impl Into<String>,
-        design_fp: u64,
-        netlist: Netlist,
-        config: FlowConfig,
-        lib: &Library,
-        corner_libs: &[CornerLibrary],
-        placement_cache: Option<Arc<PlacementCache>>,
-    ) -> Result<Session, FlowError> {
         let config_fp = config_identity(&config, lib);
         let seed = Checkpoint::new(DesignState::from_netlist(netlist.clone()));
-        let mut engine =
-            FlowEngine::with_corner_libraries(lib, config.clone(), corner_libs.to_vec());
-        if let Some(cache) = placement_cache {
-            engine = engine.with_placement_cache(cache);
-        }
-        let prefix = engine.resume_until(&seed, StageId::PlaceAndClock)?;
+        let prefix = FlowEngine::with_corner_libraries(lib, config.clone(), corner_libs.to_vec())
+            .resume_until(&seed, StageId::PlaceAndClock)?;
         Ok(Session {
             name: name.into(),
             design: design.into(),
@@ -422,14 +385,6 @@ pub struct WhatIfRun {
     pub result: Result<FlowResult, FlowError>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
-}
-
 /// Forks the prefix for an implementation what-if, grafting the warm
 /// incremental-session caches out of the finals checkpoint when one
 /// exists: routing session, CTS recording, extracted parasitics,
@@ -541,35 +496,13 @@ pub fn run_what_if(
                 result,
             }]
         }
-        WhatIf::Sweep { runs } => {
-            // Characterise each distinct corner set once, serially (the
-            // resolver may be backed by a shared pool), then fork in
-            // parallel on the shared pool.
-            let mut corner_cache: Vec<(CornerSet, Vec<CornerLibrary>)> = Vec::new();
-            for run in runs {
-                if !corner_cache.iter().any(|(s, _)| *s == run.config.corners) {
-                    corner_cache.push((
-                        run.config.corners.clone(),
-                        corner_libs_for(&run.config.corners),
-                    ));
-                }
-            }
-            let results = parallel_map(runs, threads, |run: &SweepRun| {
-                let corners = corner_cache
-                    .iter()
-                    .find(|(s, _)| *s == run.config.corners)
-                    .map(|(_, l)| l.clone())
-                    .unwrap_or_default();
-                run_forked(lib, corners, run.config.clone(), prefix.restore())
-            });
-            runs.iter()
-                .zip(results)
-                .map(|(run, result)| WhatIfRun {
-                    label: run.label.clone(),
-                    result,
-                })
-                .collect()
-        }
+        WhatIf::Sweep { runs } => fork_sweep(lib, prefix, runs, threads, corner_libs_for)
+            .into_iter()
+            .map(|o| WhatIfRun {
+                label: o.label,
+                result: o.result,
+            })
+            .collect(),
     }
 }
 
@@ -731,6 +664,36 @@ mod tests {
             1,
         );
         assert!(matches!(none[0].result, Err(FlowError::Reported { .. })));
+
+        // A sweep resolves each distinct corner set once and returns one
+        // labelled run per config, in order; forking the prefix under
+        // the session's own config reproduces the base result.
+        let mut resolved = 0;
+        let mut counting = |set: &CornerSet| {
+            resolved += 1;
+            pool.corner_libs(&l, set).0.to_vec()
+        };
+        let sweep = run_what_if(
+            &l,
+            &cfg,
+            session.prefix(),
+            session.finals(),
+            &mut counting,
+            &WhatIf::Sweep {
+                runs: vec![
+                    SweepRun::new("a", cfg.clone()),
+                    SweepRun::new("b", cfg.clone()),
+                ],
+            },
+            2,
+        );
+        assert_eq!(resolved, 1, "one distinct corner set");
+        let labels: Vec<&str> = sweep.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["a", "b"]);
+        for run in &sweep {
+            let result = run.result.as_ref().expect("sweep run");
+            assert_eq!(SuiteOutcome::from_flow(result).digest(), base_digest);
+        }
     }
 
     #[test]

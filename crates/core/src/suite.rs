@@ -25,8 +25,8 @@
 //! Reports serialise to JSON ([`SuiteReport::to_json`] /
 //! [`SuiteReport::from_json`]) so shards can run in separate processes
 //! (the `suite` bin's `--shard K/N` / `--merge` flags), and carry the
-//! [`DesignCache`](crate::cache::DesignCache) and [`PlacementCache`]
-//! hit/miss statistics when the driver used them.
+//! [`DesignCache`](crate::cache::DesignCache) hit/miss statistics when
+//! the driver used one. Every design is placed once, by its own flow.
 //!
 //! ```no_run
 //! use smt_cells::library::Library;
@@ -49,14 +49,14 @@
 //! println!("{}", smt_core::suite::render_suite(&report));
 //! ```
 
-use crate::cache::{CacheStats, PlacementCache};
+use crate::cache::CacheStats;
 use crate::engine::{
     build_corner_libs, CornerSignoff, FlowConfig, FlowEngine, FlowError, FlowResult, Observer,
     StageId, StageMetrics,
 };
 use smt_base::fingerprint::Fnv64;
 use smt_base::json::Json;
-use smt_base::par::parallel_map;
+use smt_base::par::{panic_message, parallel_map};
 use smt_base::report::Table;
 use smt_base::units::{Area, Current, Time, Volt};
 use smt_cells::corner::Corner;
@@ -68,7 +68,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One design queued in a suite.
@@ -165,7 +164,6 @@ pub struct WorkloadSuite {
     equiv_cycles: usize,
     total: Option<usize>,
     suite_fp: Option<u64>,
-    placement_cache: Option<Arc<PlacementCache>>,
 }
 
 impl WorkloadSuite {
@@ -180,7 +178,6 @@ impl WorkloadSuite {
             equiv_cycles: 48,
             total: None,
             suite_fp: None,
-            placement_cache: None,
         }
     }
 
@@ -217,18 +214,6 @@ impl WorkloadSuite {
         self
     }
 
-    /// Shares one on-disk [`PlacementCache`] across every design's
-    /// engine: repeat runs of the same suite skip the placement kernel
-    /// entirely and decode bit-identical coordinates from disk. The
-    /// handle is thread-safe, so the `parallel_map` workers share it
-    /// directly. The report carries the hit/miss delta this run
-    /// contributed ([`SuiteReport::placement_cache`]).
-    #[must_use]
-    pub fn with_placement_cache(mut self, cache: Arc<PlacementCache>) -> Self {
-        self.placement_cache = Some(cache);
-        self
-    }
-
     /// Declares how many designs the *full* suite holds, for shard
     /// processes that only queue a subset (defaults to the queue
     /// length). [`SuiteReport::merge`] refuses reports that disagree.
@@ -245,8 +230,8 @@ impl WorkloadSuite {
     /// derives it from every queued design (correct whenever the whole
     /// suite is queued, as `run`/`run_shard` in one process do); a
     /// driver that spreads one suite across processes must compute the
-    /// full-list fingerprint once and pass it to every shard, or their
-    /// reports will refuse to merge.
+    /// full-list fingerprint once ([`suite_fingerprint`]) and pass it to
+    /// every shard, or their reports will refuse to merge.
     #[must_use]
     pub fn with_suite_fingerprint(mut self, fingerprint: u64) -> Self {
         self.suite_fp = Some(fingerprint);
@@ -336,9 +321,6 @@ impl WorkloadSuite {
         // One corner characterisation for the whole batch.
         let corner_libs = build_corner_libs(lib, &self.config.corners);
         let t0 = Instant::now();
-        // The placement-cache handle outlives this run; report only the
-        // delta this batch contributed.
-        let place_before = self.placement_cache.as_ref().map(|c| c.stats());
         let selected: Vec<&SuiteDesign> = indices.iter().map(|&i| &self.designs[i]).collect();
         let rows: Vec<SuiteRow> = parallel_map(&selected, self.threads, |design| {
             let design: &SuiteDesign = design;
@@ -352,16 +334,13 @@ impl WorkloadSuite {
             // one design becomes that design's Err row instead of
             // tearing down the batch.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut engine = FlowEngine::with_corner_libraries(
+                let r = FlowEngine::with_corner_libraries(
                     lib,
                     self.config.clone(),
                     corner_libs.clone(),
                 )
-                .observe(TraceObserver(trace.clone()));
-                if let Some(cache) = &self.placement_cache {
-                    engine = engine.with_placement_cache(cache.clone());
-                }
-                let r = engine.run_netlist(design.netlist.clone())?;
+                .observe(TraceObserver(trace.clone()))
+                .run_netlist(design.netlist.clone())?;
                 // The flow must never change logic: re-check the final
                 // netlist against the *input* netlist under a stimulus
                 // seed unrelated to the flow's own. A check that cannot
@@ -396,12 +375,9 @@ impl WorkloadSuite {
                 Ok(outcome)
             }))
             .unwrap_or_else(|payload| {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(FlowError::RunPanicked { message })
+                Err(FlowError::RunPanicked {
+                    message: panic_message(payload),
+                })
             });
             let stages = std::mem::take(&mut *trace.borrow_mut());
             SuiteRow {
@@ -413,26 +389,29 @@ impl WorkloadSuite {
                 outcome,
             }
         });
-        let placement_cache = match (place_before, &self.placement_cache) {
-            (Some(before), Some(cache)) => {
-                let after = cache.stats();
-                Some(CacheStats {
-                    hits: after.hits - before.hits,
-                    misses: after.misses - before.misses,
-                    invalidated: after.invalidated - before.invalidated,
-                })
-            }
-            _ => None,
-        };
         SuiteReport {
             rows,
             total_designs: self.total.unwrap_or(self.designs.len()),
             config_fingerprint: self.config_fingerprint(lib),
             wall: t0.elapsed(),
             cache: None,
-            placement_cache,
         }
     }
+}
+
+/// The identity of a full design list, which every shard of one suite
+/// passes to [`WorkloadSuite::with_suite_fingerprint`]: per entry
+/// `(name, family, config fingerprint)` into one [`Fnv64`]. The `suite`
+/// bin and the daemon's suite spec both compute it here, so shard
+/// reports from either executor merge.
+pub fn suite_fingerprint<'a>(entries: impl IntoIterator<Item = (&'a str, &'a str, u64)>) -> u64 {
+    let mut h = Fnv64::new();
+    for (name, family, config_fp) in entries {
+        h.write_str(name);
+        h.write_str(family);
+        h.write_u64(config_fp);
+    }
+    h.finish()
 }
 
 /// The suite's per-stage telemetry hook: records every completed
@@ -675,10 +654,6 @@ pub struct SuiteReport {
     /// Design-cache statistics, when the driver used one (summed across
     /// shards by [`SuiteReport::merge`]).
     pub cache: Option<CacheStats>,
-    /// Placement-cache statistics contributed by this run, when the
-    /// suite carried a [`PlacementCache`] (summed across shards by
-    /// [`SuiteReport::merge`]).
-    pub placement_cache: Option<CacheStats>,
 }
 
 impl SuiteReport {
@@ -755,7 +730,6 @@ impl SuiteReport {
         let config_fingerprint = first.config_fingerprint;
         let mut wall = first.wall;
         let mut cache = first.cache;
-        let mut placement_cache = first.placement_cache;
         let mut rows = first.rows;
         for report in it {
             if report.total_designs != total {
@@ -772,10 +746,6 @@ impl SuiteReport {
             }
             wall = wall.max(report.wall);
             cache = match (cache, report.cache) {
-                (Some(a), Some(b)) => Some(a.merged(b)),
-                (a, b) => a.or(b),
-            };
-            placement_cache = match (placement_cache, report.placement_cache) {
                 (Some(a), Some(b)) => Some(a.merged(b)),
                 (a, b) => a.or(b),
             };
@@ -802,7 +772,6 @@ impl SuiteReport {
             config_fingerprint,
             wall,
             cache,
-            placement_cache,
         })
     }
 
@@ -947,7 +916,7 @@ impl SuiteReport {
                 Json::Str(format!("{:016x}", self.digest())),
             );
             top.insert("wall_s".to_owned(), Json::Num(self.wall.as_secs_f64()));
-            let cache_json = |cache: &CacheStats| {
+            if let Some(cache) = &self.cache {
                 let mut c = BTreeMap::new();
                 c.insert("hits".to_owned(), Json::Num(cache.hits as f64));
                 c.insert("misses".to_owned(), Json::Num(cache.misses as f64));
@@ -955,13 +924,7 @@ impl SuiteReport {
                     "invalidated".to_owned(),
                     Json::Num(cache.invalidated as f64),
                 );
-                Json::Obj(c)
-            };
-            if let Some(cache) = &self.cache {
-                top.insert("cache".to_owned(), cache_json(cache));
-            }
-            if let Some(cache) = &self.placement_cache {
-                top.insert("placement_cache".to_owned(), cache_json(cache));
+                top.insert("cache".to_owned(), Json::Obj(c));
             }
         }
         let rows = self.rows.iter().map(|r| row_to_json(r, timing)).collect();
@@ -997,16 +960,14 @@ impl SuiteReport {
         let wall =
             Duration::try_from_secs_f64(json.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0))
                 .unwrap_or(Duration::ZERO);
-        let cache_stats = |c: &Json| {
+        let cache = json.get("cache").map(|c| {
             let n = |k: &str| c.get(k).and_then(Json::as_usize).unwrap_or(0);
             CacheStats {
                 hits: n("hits"),
                 misses: n("misses"),
                 invalidated: n("invalidated"),
             }
-        };
-        let cache = json.get("cache").map(cache_stats);
-        let placement_cache = json.get("placement_cache").map(cache_stats);
+        });
         let rows = json
             .get("rows")
             .and_then(Json::as_arr)
@@ -1020,7 +981,6 @@ impl SuiteReport {
             config_fingerprint,
             wall,
             cache,
-            placement_cache,
         };
         // Integrity check: when the serialised form carries its digest
         // (every report written by `to_json` does), the reloaded
@@ -1470,9 +1430,6 @@ pub fn render_suite(report: &SuiteReport) -> String {
     if let Some(cache) = &report.cache {
         let _ = writeln!(out, "design cache: {cache}");
     }
-    if let Some(cache) = &report.placement_cache {
-        let _ = writeln!(out, "placement cache: {cache}");
-    }
     let diags = report.diag_totals();
     if diags.total() > 0 {
         let _ = writeln!(
@@ -1688,11 +1645,6 @@ mod tests {
                 misses: 2,
                 invalidated: 0,
             }),
-            placement_cache: Some(CacheStats {
-                hits: 3,
-                misses: 1,
-                invalidated: 0,
-            }),
         }
     }
 
@@ -1707,8 +1659,6 @@ mod tests {
         assert!(merged.missing_ordinals().is_empty());
         let cache = merged.cache.expect("cache stats merged");
         assert_eq!((cache.hits, cache.misses), (2, 4));
-        let pcache = merged.placement_cache.expect("placement stats merged");
-        assert_eq!((pcache.hits, pcache.misses), (6, 2));
 
         assert!(matches!(
             SuiteReport::merge([stub_report(&[0], 2), stub_report(&[0], 2)]),
@@ -1768,13 +1718,9 @@ mod tests {
             json.get("cache").is_some(),
             "to_json must surface cache statistics"
         );
-        assert!(
-            json.get("placement_cache").is_some(),
-            "to_json must surface placement-cache statistics"
-        );
         let back = SuiteReport::from_json(&json).expect("intact report loads");
         assert_eq!(back.digest(), report.digest());
-        assert_eq!(back.placement_cache, report.placement_cache);
+        assert_eq!(back.cache, report.cache);
 
         // Tampering with digested content after serialisation is caught
         // on load — this is what `suite --merge` and the daemon's shard

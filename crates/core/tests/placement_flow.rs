@@ -1,9 +1,6 @@
-//! End-to-end guarantees of the parallel, cacheable, incremental
-//! placement subsystem, asserted through the public flow surface:
+//! End-to-end guarantees of the parallel, incremental placement
+//! subsystem, asserted through the public flow surface:
 //!
-//! * a flow served from a warm [`PlacementCache`] is bit-identical —
-//!   every cell coordinate and the whole [`SuiteOutcome`] digest — to
-//!   the cold run that filled the cache;
 //! * the workload suite digests identically at any worker count
 //!   (`--jobs 1` vs the pool), placement included;
 //! * an incremental [`Placer::replace_cells`] after Vth-variant swaps
@@ -14,13 +11,10 @@
 use smt_cells::cell::VthClass;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale};
-use smt_core::cache::PlacementCache;
-use smt_core::engine::{FlowConfig, FlowEngine, Technique};
-use smt_core::suite::{SuiteOutcome, WorkloadSuite};
+use smt_core::engine::{FlowConfig, Technique};
+use smt_core::suite::WorkloadSuite;
 use smt_netlist::netlist::Netlist;
 use smt_place::{Placement, Placer, PlacerConfig};
-use std::path::PathBuf;
-use std::sync::Arc;
 
 fn lib() -> Library {
     Library::industrial_130nm()
@@ -41,12 +35,6 @@ fn config() -> FlowConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smt-plc-flow-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Every placed coordinate, bit-exact.
 fn locs_bits(netlist: &Netlist, p: &Placement) -> Vec<(u32, u64, u64)> {
     netlist
@@ -56,59 +44,6 @@ fn locs_bits(netlist: &Netlist, p: &Placement) -> Vec<(u32, u64, u64)> {
                 .map(|pt| (id.index() as u32, pt.x.to_bits(), pt.y.to_bits()))
         })
         .collect()
-}
-
-#[test]
-fn warm_placement_cache_flow_is_bit_identical_to_cold() {
-    let l = lib();
-    let netlist = small_netlist(&l);
-    let cfg = config();
-    let dir = temp_dir("warm");
-    let cache = Arc::new(PlacementCache::open(&dir).expect("open placement cache"));
-
-    let cold = FlowEngine::new(&l, cfg.clone())
-        .with_placement_cache(cache.clone())
-        .run_netlist(netlist.clone())
-        .expect("cold flow");
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, 1),
-        "first run must miss and fill the cache"
-    );
-
-    let warm = FlowEngine::new(&l, cfg.clone())
-        .with_placement_cache(cache.clone())
-        .run_netlist(netlist.clone())
-        .expect("warm flow");
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (1, 1),
-        "second run must be served from disk"
-    );
-
-    assert_eq!(
-        locs_bits(&cold.netlist, &cold.placement),
-        locs_bits(&warm.netlist, &warm.placement),
-        "warm placement must decode to bit-identical coordinates"
-    );
-    assert_eq!(
-        SuiteOutcome::from_flow(&cold).digest(),
-        SuiteOutcome::from_flow(&warm).digest(),
-        "warm-cache flow must digest identically to the cold run"
-    );
-
-    // And both match a cache-less run: the cache is a pure memo.
-    let bare = FlowEngine::new(&l, cfg)
-        .run_netlist(netlist)
-        .expect("cache-less flow");
-    assert_eq!(
-        SuiteOutcome::from_flow(&bare).digest(),
-        SuiteOutcome::from_flow(&warm).digest(),
-        "the cache must not change what the flow computes"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

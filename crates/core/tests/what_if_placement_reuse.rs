@@ -2,7 +2,7 @@
 //! the warm [`Placer`], and every eco / vth-swap fork inherits it,
 //! re-placing incrementally at most. Asserted through the global
 //! `smt_place::full_place_runs()` counter, which only the full
-//! placement kernel bumps (cache hits and incremental updates do not).
+//! placement kernel bumps (incremental updates do not).
 //!
 //! This is the only test in this file on purpose: the counter is
 //! process-global, and any concurrently running flow would race the

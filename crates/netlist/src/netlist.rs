@@ -629,10 +629,8 @@ impl Netlist {
     /// every net (name, driver, load order, port loads) and every port.
     /// Two netlists fingerprint equal iff they are the same structure
     /// under the same ids — tombstone layout included, since dense
-    /// side tables (placement!) are slot-addressed. Pairs with
-    /// `Library::fingerprint()` and `PlacerConfig::fingerprint()` as a
-    /// placement-cache key, and is stable across process runs (no
-    /// hash-map iteration, no pointer values).
+    /// side tables (placement!) are slot-addressed. Stable across
+    /// process runs (no hash-map iteration, no pointer values).
     pub fn fingerprint(&self) -> u64 {
         let mut h = smt_base::fingerprint::Fnv64::new();
         h.write_str(&self.name);

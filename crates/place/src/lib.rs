@@ -7,9 +7,11 @@
 //! * [`mod@place`] — parallel recursive-bisection global placement,
 //!   Tetris row legalization, and region-windowed simulated-annealing
 //!   refinement (equal-footprint swaps keep the placement legal by
-//!   construction), behind the incremental [`Placer`] session type;
-//! * [`store`] — digest-verified text serialization of placements, the
-//!   on-disk format behind the flow's placement cache;
+//!   construction), behind the incremental [`Placer`] session type
+//!   (the flow places each design once and carries the `Placer` in its
+//!   checkpoints, so every later stage and what-if fork edits that
+//!   placement instead of re-placing);
+//! * [`def`] — DEF-lite writer and parser for placements;
 //! * [`estimate`] — placement-based pre-route RC estimation, the
 //!   "information about the resistance and the capacitance of each wire
 //!   is estimated based on the placement information" step that the
@@ -31,9 +33,7 @@ pub mod def;
 pub mod estimate;
 pub mod fm;
 pub mod place;
-pub mod store;
 
 pub use def::{parse as parse_def, write as write_def, ParseDefError};
 pub use estimate::{estimate_net_rc, NetRc};
 pub use place::{full_place_runs, place, PlaceError, Placement, Placer, PlacerConfig};
-pub use store::{decode_placement, encode_placement, PlacementDecodeError};

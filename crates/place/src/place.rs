@@ -16,7 +16,6 @@
 //! committed in item order.
 
 use crate::fm::{bipartition, FmConfig, Hypergraph};
-use smt_base::fingerprint::Fnv64;
 use smt_base::geom::{Point, Rect};
 use smt_base::par::parallel_map;
 use smt_base::rng::SplitMix64;
@@ -106,25 +105,12 @@ impl PlacerConfig {
         }
         Ok(())
     }
-
-    /// Stable content fingerprint over every placement-affecting knob —
-    /// one third of a placement-cache key (with the netlist and library
-    /// fingerprints).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_f64(self.utilization);
-        h.write_usize(self.min_partition);
-        h.write_usize(self.anneal_moves_per_cell);
-        h.write_u64(self.seed);
-        h.write_usize(self.anneal_window);
-        h.finish()
-    }
 }
 
 /// Lifetime count of *full* placements performed by this process
-/// ([`Placer::new`] / [`place`]; cache hits and incremental updates do
-/// not count). Lets tests assert that warm paths — what-if forks,
-/// cached suite runs — really stopped re-placing.
+/// ([`Placer::new`] / [`place`]; incremental updates do not count).
+/// Lets tests assert that warm paths — what-if forks of a placed
+/// checkpoint — really stopped re-placing.
 pub fn full_place_runs() -> u64 {
     FULL_PLACE_RUNS.load(Ordering::Relaxed)
 }
@@ -146,11 +132,11 @@ pub struct Placement {
     pub row_ys: Vec<f64>,
     /// Whether each slot was ever deliberately placed (initial placement
     /// or [`Placement::set_loc`]). Parallel to `locs`.
-    pub(crate) placed: Vec<bool>,
+    placed: Vec<bool>,
     /// Times [`Placement::loc`] fell back to the die centre for a
     /// never-placed instance — a flow stage created a cell and forgot to
     /// place it.
-    pub(crate) fallback_hits: AtomicU64,
+    fallback_hits: AtomicU64,
 }
 
 impl Clone for Placement {
@@ -342,12 +328,6 @@ impl Placer {
             config: config.clone(),
             placement,
         })
-    }
-
-    /// Wraps an existing placement (a cache hit, a DEF import) in a
-    /// session without re-placing anything.
-    pub fn from_placement(placement: Placement, config: PlacerConfig) -> Self {
-        Placer { config, placement }
     }
 
     /// The session's configuration.
@@ -1206,35 +1186,6 @@ mod tests {
         let lib = lib();
         let n = chain(&lib, 4);
         assert!(Placer::new(&n, &lib, &zero_part).is_err());
-    }
-
-    #[test]
-    fn config_fingerprint_tracks_every_knob() {
-        let base = PlacerConfig::default().fingerprint();
-        for cfg in [
-            PlacerConfig {
-                utilization: 0.6,
-                ..PlacerConfig::default()
-            },
-            PlacerConfig {
-                min_partition: 13,
-                ..PlacerConfig::default()
-            },
-            PlacerConfig {
-                anneal_moves_per_cell: 41,
-                ..PlacerConfig::default()
-            },
-            PlacerConfig {
-                seed: 43,
-                ..PlacerConfig::default()
-            },
-            PlacerConfig {
-                anneal_window: 513,
-                ..PlacerConfig::default()
-            },
-        ] {
-            assert_ne!(cfg.fingerprint(), base, "{cfg:?}");
-        }
     }
 
     #[test]

@@ -41,11 +41,12 @@
 use crate::client::{CallError, Client};
 use crate::spec::SuiteSpec;
 use smt_base::json::Json;
+use smt_base::par::panic_message;
 use smt_base::proto::{write_frame, FrameReader, Poll, Request, Response, WireError};
 use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale, Workload};
-use smt_core::cache::{CacheStats, DesignCache, PlacementCache};
+use smt_core::cache::{CacheStats, DesignCache};
 use smt_core::config_io::JsonConfig;
 use smt_core::dualvth::DualVthConfig;
 use smt_core::engine::{Checkpoint, FlowConfig, SweepRun, Technique};
@@ -68,14 +69,6 @@ use std::time::{Duration, Instant};
 /// panicked — a poisoned session must never take down the daemon.
 fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +159,6 @@ struct State {
     pool: Mutex<LibraryPool>,
     sessions: Mutex<SessionRegistry>,
     cache: Mutex<DesignCache>,
-    placement_cache: Arc<PlacementCache>,
     workers: Mutex<Vec<WorkerSpec>>,
     draining: AtomicBool,
     drain_started: Mutex<Option<Instant>>,
@@ -234,10 +226,6 @@ impl Daemon {
     pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, String> {
         let lib = Library::industrial_130nm();
         let cache = DesignCache::open(&config.cache_dir, &lib).map_err(|e| e.to_string())?;
-        // Placements share the design cache's directory (distinct
-        // `.plc` entries), so one `--cache-dir` warms both.
-        let placement_cache =
-            Arc::new(PlacementCache::open(&config.cache_dir).map_err(|e| e.to_string())?);
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
         let addr = listener
@@ -253,7 +241,6 @@ impl Daemon {
             pool: Mutex::new(LibraryPool::new()),
             sessions: Mutex::new(SessionRegistry::new()),
             cache: Mutex::new(cache),
-            placement_cache,
             draining: AtomicBool::new(false),
             drain_started: Mutex::new(None),
             inflight: AtomicUsize::new(0),
@@ -477,10 +464,6 @@ fn status(state: &Arc<State>) -> Json {
         cache_stats_json(recover(&state.cache).stats()),
     );
     m.insert(
-        "placement_cache".to_owned(),
-        cache_stats_json(state.placement_cache.stats()),
-    );
-    m.insert(
         "workers".to_owned(),
         Json::Arr(
             recover(&state.workers)
@@ -637,7 +620,7 @@ fn acquire_session(
     }
     let (netlist, cache) = realise_design(state, workload)?;
     let (corner_libs, _) = recover(&state.pool).corner_libs(&state.lib, &config.corners);
-    let session = Session::open_with_cache(
+    let session = Session::open(
         session_name,
         &workload.name,
         design_fp,
@@ -645,7 +628,6 @@ fn acquire_session(
         config.clone(),
         &state.lib,
         &corner_libs,
-        Some(Arc::clone(&state.placement_cache)),
     )
     .map_err(|e| WireError::new("flow", e.to_string()))?;
     let view = SessionView {
@@ -899,7 +881,6 @@ fn execute_shard(
         )?;
         (suite, cache_delta(before, cache.stats()))
     };
-    let suite = suite.with_placement_cache(Arc::clone(&state.placement_cache));
     let mut report = suite.run(&state.lib);
     report.cache = Some(delta);
     Ok(report)

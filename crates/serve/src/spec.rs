@@ -2,23 +2,16 @@
 //! surface of the `suite` bin's generated path, so a shard executed by
 //! a remote `smtd` worker, a spawned `suite --shard K/N` subprocess,
 //! and an in-process run all compute identical suite/config
-//! fingerprints and therefore produce mergeable, digest-identical
-//! reports.
-//!
-//! The fingerprint formula here mirrors the `suite` bin byte for byte:
-//! per entry `(name, family, config fingerprint)` into one
-//! [`Fnv64`]. Anything that would desynchronise the two (a new field
-//! that only one side hashes) breaks the coordinator's merge, which the
-//! loopback test catches.
+//! fingerprints ([`suite_fingerprint`] is the one formula both sides
+//! call) and therefore produce mergeable, digest-identical reports.
 
-use smt_base::fingerprint::Fnv64;
 use smt_base::json::Json;
 use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale, Workload};
 use smt_core::cache::DesignCache;
 use smt_core::engine::{FlowConfig, Technique};
-use smt_core::suite::{plan_shards, ShardPlan, ShardStrategy, WorkloadSuite};
+use smt_core::suite::{plan_shards, suite_fingerprint, ShardPlan, ShardStrategy, WorkloadSuite};
 use std::collections::BTreeMap;
 
 /// A generated-suite run request: which designs, which flow, how to
@@ -163,17 +156,15 @@ impl SuiteSpec {
         all
     }
 
-    /// The full-list suite fingerprint — per entry `(name, family,
-    /// config fingerprint)`, identical to the `suite` bin's formula, so
-    /// shard reports from either executor merge.
+    /// The full-list [`suite_fingerprint`] of `workloads`, as the
+    /// `suite` bin computes it, so shard reports from either executor
+    /// merge.
     pub fn suite_fingerprint(&self, workloads: &[Workload]) -> u64 {
-        let mut h = Fnv64::new();
-        for w in workloads {
-            h.write_str(&w.name);
-            h.write_str(w.config.family());
-            h.write_u64(w.config.fingerprint());
-        }
-        h.finish()
+        suite_fingerprint(
+            workloads
+                .iter()
+                .map(|w| (w.name.as_str(), w.config.family(), w.config.fingerprint())),
+        )
     }
 
     /// Shard assignment over estimated gate weights (designs outside a

@@ -2,7 +2,8 @@
 //! known defect into a known-good generated design and assert that the
 //! analyzer reports exactly the expected rule(s) — the injected defect's
 //! `RuleId` plus any structural consequence the mutation necessarily
-//! carries — and nothing else.
+//! carries — and nothing else. The same mutation, injected by a flow
+//! stage, must stop the flow at that stage's lint gate.
 //!
 //! Comparing *fresh* rules (mutated minus baseline) keeps the tests
 //! honest on a realistic ~150-gate circuit: pre-existing findings in
@@ -11,9 +12,15 @@
 
 use selective_mt::cells::library::Library;
 use selective_mt::circuits::gen::{random_logic, RandomLogicConfig};
+use selective_mt::core::engine::{
+    instantiate, DesignState, FlowConfig, FlowContext, FlowEngine, FlowError, Observer, Stage,
+    StageId, Technique,
+};
 use selective_mt::netlist::check::{analyze, analyze_with_threads, LintPolicy, RuleId};
 use selective_mt::netlist::netlist::{InstId, NetDriver, NetId, Netlist};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 fn lib() -> Library {
     Library::industrial_130nm()
@@ -63,15 +70,24 @@ fn victim_net(netlist: &Netlist) -> (NetId, InstId) {
         .expect("generated circuit has a gate-driven loaded net")
 }
 
+/// Disconnects the driver of a loaded net.
+fn drop_a_driver(netlist: &mut Netlist) {
+    let (net, driver) = victim_net(netlist);
+    let out_pin = netlist
+        .inst(driver)
+        .conns
+        .iter()
+        .position(|c| *c == Some(net));
+    netlist.disconnect(driver, out_pin.expect("driver is bound to its net"));
+}
+
 #[test]
 fn dropped_driver_fires_undriven_net() {
     let lib = lib();
     let mut n = subject(&lib);
     let baseline = rule_set(&n, &lib);
 
-    let (net, driver) = victim_net(&n);
-    let out_pin = n.inst(driver).conns.iter().position(|c| *c == Some(net));
-    n.disconnect(driver, out_pin.expect("driver is bound to its net"));
+    drop_a_driver(&mut n);
 
     let fresh = fresh_rules(&n, &baseline, &lib);
     // The loaded net losing its driver is the defect; the driver gate's
@@ -188,9 +204,7 @@ fn report_and_digest_are_worker_count_invariant() {
     // Analyze a *dirty* netlist — determinism must hold with findings
     // from several rules in flight across workers, not just on clean
     // designs.
-    let (net, driver) = victim_net(&n);
-    let out_pin = n.inst(driver).conns.iter().position(|c| *c == Some(net));
-    n.disconnect(driver, out_pin.expect("driver is bound to its net"));
+    drop_a_driver(&mut n);
 
     let policy = LintPolicy::structural();
     let one = analyze_with_threads(&n, &lib, &policy, 1);
@@ -200,4 +214,63 @@ fn report_and_digest_are_worker_count_invariant() {
         assert_eq!(one.digest(), w.digest(), "workers={workers}");
     }
     assert!(!one.diagnostics.is_empty());
+}
+
+/// A buggy transform: runs the real stage, then drops a loaded net's
+/// driver.
+struct DropsADriver(Box<dyn Stage>);
+
+impl Stage for DropsADriver {
+    fn id(&self) -> StageId {
+        self.0.id()
+    }
+
+    fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
+        self.0.run(state, ctx)?;
+        drop_a_driver(&mut state.netlist);
+        Ok(())
+    }
+}
+
+/// Records every stage the engine starts.
+struct Started(Rc<RefCell<Vec<StageId>>>);
+
+impl Observer for Started {
+    fn on_stage_start(&mut self, stage: StageId) {
+        self.0.borrow_mut().push(stage);
+    }
+}
+
+#[test]
+fn lint_gate_stops_the_flow_at_the_stage_that_broke_the_netlist() {
+    let lib = lib();
+    let config = FlowConfig {
+        technique: Technique::DualVth,
+        ..FlowConfig::default()
+    };
+    let stages: Vec<Box<dyn Stage>> = StageId::plan(config.technique)
+        .iter()
+        .map(|&id| match id {
+            StageId::AssignDualVth => Box::new(DropsADriver(instantiate(id))),
+            _ => instantiate(id),
+        })
+        .collect();
+    let started = Rc::new(RefCell::new(Vec::new()));
+    let err = FlowEngine::with_stages(&lib, config, stages)
+        .observe(Started(Rc::clone(&started)))
+        .run_netlist(subject(&lib))
+        .expect_err("the lint gate must stop the flow");
+    let FlowError::Lint { stage, errors } = err else {
+        panic!("expected FlowError::Lint, got {err:?}");
+    };
+    assert_eq!(stage, StageId::AssignDualVth);
+    assert!(
+        errors.iter().any(|d| d.rule == RuleId::UndrivenNet),
+        "{errors:?}"
+    );
+    assert_eq!(
+        *started.borrow(),
+        [StageId::PlaceAndClock, StageId::AssignDualVth],
+        "no stage after the broken one may start"
+    );
 }

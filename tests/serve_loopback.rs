@@ -6,6 +6,9 @@
 //!   library, the session, and the finals checkpoint, while it and a
 //!   warm what-if read nothing from the design cache — asserted via
 //!   the reply's stats, not timing;
+//! * re-flowing that session under another technique re-opens it cold
+//!   from the cached design and is bit-identical to an in-process run
+//!   under that technique;
 //! * a coordinator-driven two-worker sharded suite survives a worker
 //!   that dies mid-request (retry reassigns its shard) and its merged
 //!   report digests identically to the unsharded in-process run;
@@ -173,12 +176,43 @@ fn warm_flow_is_bit_identical_to_cold_and_in_process_runs() {
         ..FlowConfig::default()
     };
     let result = FlowEngine::new(&lib, config)
-        .run_netlist(netlist)
+        .run_netlist(netlist.clone())
         .expect("reference flow");
     let reference = format!("{:016x}", SuiteOutcome::from_flow(&result).digest());
     assert_eq!(
         cold_digest, reference,
         "daemon flow and in-process engine run must be bit-identical"
+    );
+
+    // A config switch on the same session re-opens it cold: the design
+    // is read back from the cache and the prefix is placed again.
+    let improved = client
+        .call(
+            "flow",
+            obj(&[
+                ("design", Json::Str(workload.name.clone())),
+                ("session", Json::Str("warm".to_owned())),
+                ("technique", Json::Str("improved".to_owned())),
+            ]),
+        )
+        .expect("improved flow");
+    assert_eq!(stat_bool(&improved, "session_reused"), Some(false));
+    assert_eq!(
+        cache_reads(&improved),
+        (Some(1), Some(0)),
+        "a re-open reads the cached design"
+    );
+    let improved_config = FlowConfig {
+        technique: Technique::ImprovedSmt,
+        ..FlowConfig::default()
+    };
+    let result = FlowEngine::new(&lib, improved_config)
+        .run_netlist(netlist)
+        .expect("improved reference flow");
+    assert_eq!(
+        improved.get("digest").and_then(Json::as_str),
+        Some(format!("{:016x}", SuiteOutcome::from_flow(&result).digest()).as_str()),
+        "a re-opened daemon flow and the in-process run must be bit-identical"
     );
 
     // The wire `lint` method answers from the same warm design cache
