@@ -1,111 +1,30 @@
-//! Benchmarks for the multi-corner (PVT) subsystem: what an extra corner
-//! costs, both at the STA level (incremental vs rebuild) and at the flow
-//! level (three-corner signoff vs single-corner).
+//! Benchmark for the multi-corner (PVT) subsystem: what extra corners
+//! cost the flow (three-corner signoff vs single-corner).
 //!
 //! ```text
 //! cargo bench -p smt-bench --bench corners
 //! ```
 //!
-//! Records two runner-independent metrics for the regression gate:
+//! Records one runner-independent metric for the regression gate:
 //!
-//! * `multicorner_incremental_speedup` — a cone-limited three-corner
-//!   swap update vs a from-scratch three-corner rebuild (higher is
-//!   better; this is the ratio that keeps Vth-swap loops viable under
-//!   multi-corner timing);
 //! * `per_corner_flow_cost_ratio` — wall-clock of the full improved-SMT
 //!   flow at slow/typ/fast over the same flow at the single typical
 //!   corner (lower is better; corner fan-out on the sweep worker pool
 //!   keeps it well below the 3× a serial implementation would pay).
+//!
+//! Per-corner timing itself is `analyze_cached` over one shared graph
+//! and sink cache; its speed is gated by `timing_kernel_speedup`
+//! (`--bench timing_kernel`).
 
 use smt_bench::harness::Harness;
-use smt_cells::cell::VthClass;
-use smt_cells::corner::{CornerLibrary, CornerSet};
+use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
-use smt_circuits::gen::{random_logic, RandomLogicConfig};
 use smt_circuits::rtl::circuit_b_rtl_sized;
 use smt_core::flow::{run_flow, FlowConfig, Technique};
-use smt_netlist::netlist::InstId;
-use smt_place::{place, PlacerConfig};
-use smt_route::Parasitics;
-use smt_sta::{Derating, MultiCornerSta, StaConfig};
 
 fn main() {
     let lib = Library::industrial_130nm();
     let mut h = Harness::new();
-
-    // -- STA level ---------------------------------------------------------
-    let n = {
-        let mut n = random_logic(
-            &lib,
-            &RandomLogicConfig {
-                gates: 1200,
-                seed: 2005,
-                ..RandomLogicConfig::default()
-            },
-        )
-        .expect("valid random_logic config");
-        // Mixed Vth population so swaps go both ways.
-        let ids: Vec<InstId> = n
-            .instances()
-            .filter(|(_, i)| lib.cell(i.cell).is_logic())
-            .map(|(id, _)| id)
-            .collect();
-        for id in ids.iter().step_by(2) {
-            if let Some(v) = lib.variant_id(n.inst(*id).cell, VthClass::High) {
-                n.replace_cell(*id, v, &lib).unwrap();
-            }
-        }
-        n
-    };
-    let p = place(&n, &lib, &PlacerConfig::default());
-    let par = Parasitics::estimate(&n, &lib, &p);
-    let cfg = StaConfig::default();
-    let der = Derating::none();
-    let set = CornerSet::slow_typ_fast();
-    let corner_libs = CornerLibrary::build_set(&lib, &set);
-    let ids: Vec<InstId> = n
-        .instances()
-        .filter(|(_, i)| lib.cell(i.cell).is_logic())
-        .map(|(id, _)| id)
-        .collect();
-
-    let sta_speedup = {
-        let mut g = h.group("multicorner_sta_1200_gates");
-        g.sample_size(10);
-        let rebuild = g.bench("from-scratch 3-corner build", || {
-            MultiCornerSta::from_libraries(&n, corner_libs.clone(), &par, &cfg, &der)
-                .expect("acyclic")
-        });
-
-        let mut mc = MultiCornerSta::from_libraries(&n, corner_libs.clone(), &par, &cfg, &der)
-            .expect("acyclic");
-        let mut net = n.clone();
-        let mut k = 0usize;
-        // A batch of swaps per timed iteration: averaging over 16 cones
-        // keeps the ratio stable even in 2-sample CI smoke runs (a single
-        // wide fan-out cone would otherwise dominate the median).
-        const BATCH: usize = 16;
-        let update = g.bench("16 incremental 3-corner swap updates", || {
-            for _ in 0..BATCH {
-                let id = ids[(k * 37) % ids.len()];
-                k += 1;
-                let cell = lib.cell(net.inst(id).cell);
-                let target = if cell.vth == VthClass::Low {
-                    VthClass::High
-                } else {
-                    VthClass::Low
-                };
-                if let Some(v) = lib.variant_id(net.inst(id).cell, target) {
-                    net.replace_cell(id, v, &lib).unwrap();
-                    mc.update_after_swap(&net, &par, &der, id);
-                }
-            }
-            mc.setup_wns()
-        });
-        rebuild.median.as_secs_f64() / (update.median.as_secs_f64() / BATCH as f64)
-    };
-
-    // -- Flow level --------------------------------------------------------
     let flow_ratio = {
         let mut g = h.group("flow_corner_scaling_circuit_b8");
         g.sample_size(5);
@@ -129,7 +48,6 @@ fn main() {
         multi.median.as_secs_f64() / single.median.as_secs_f64()
     };
 
-    h.metric("multicorner_incremental_speedup", sta_speedup);
     h.metric("per_corner_flow_cost_ratio", flow_ratio);
     h.finish();
 }

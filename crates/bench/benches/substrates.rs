@@ -112,61 +112,12 @@ fn bench_cluster(h: &mut Harness) {
     }
 }
 
-fn bench_incremental_sta(h: &mut Harness) {
-    use smt_cells::cell::VthClass;
-    use smt_sta::IncrementalSta;
-    let lib = Library::industrial_130nm();
-    let mut g = h.group("sta_incremental");
-    for gates in [1000usize, 3000] {
-        let n = random_logic(
-            &lib,
-            &RandomLogicConfig {
-                gates,
-                ..RandomLogicConfig::default()
-            },
-        )
-        .expect("valid random_logic config");
-        let p = place(&n, &lib, &PlacerConfig::default());
-        let par = Parasitics::estimate(&n, &lib, &p);
-        let cfg = StaConfig::default();
-        let der = Derating::none();
-        // One representative swap target: a mid-design logic cell.
-        let target = n
-            .instances()
-            .filter(|(_, i)| lib.cell(i.cell).is_logic())
-            .map(|(id, _)| id)
-            .nth(gates / 2)
-            .expect("logic cell");
-        {
-            let mut n = n.clone();
-            let mut inc = IncrementalSta::new(&n, &lib, &par, &cfg, &der).unwrap();
-            g.bench(&format!("one_swap_update/{gates}"), || {
-                // Toggle L<->H and re-time incrementally.
-                let cur = lib.cell(n.inst(target).cell);
-                let want = if cur.vth == VthClass::Low {
-                    VthClass::High
-                } else {
-                    VthClass::Low
-                };
-                let v = lib.variant_id(n.inst(target).cell, want).unwrap();
-                n.replace_cell(target, v, &lib).unwrap();
-                inc.update_after_swap(&n, &lib, &par, &der, target);
-                inc.wns()
-            });
-        }
-        g.bench(&format!("full_reanalysis/{gates}"), || {
-            analyze(&n, &lib, &par, &cfg, &der).unwrap().wns
-        });
-    }
-}
-
 fn main() {
     let mut h = Harness::new();
     bench_synth(&mut h);
     bench_place(&mut h);
     bench_route(&mut h);
     bench_sta(&mut h);
-    bench_incremental_sta(&mut h);
     bench_cluster(&mut h);
     h.finish();
 }

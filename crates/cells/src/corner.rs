@@ -19,8 +19,9 @@
 //! re-characterises the standard-cell library at each derived technology.
 //! Because library generation is deterministic, **cell ids are stable
 //! across the per-corner libraries**, so one netlist can be timed against
-//! every corner without translation — the invariant `MultiCornerSta`
-//! (in `smt-sta`) and the multi-corner flow stages rely on.
+//! every corner without translation — the invariant the multi-corner
+//! flow stages rely on when they time one netlist at every corner over
+//! one shared `smt-sta` timing graph.
 //!
 //! The [`Corner::typical`] corner is the *identity*: every derate is 1.0
 //! and the temperature is the calibration temperature, so the derived

@@ -7,14 +7,10 @@ use crate::crosstalk::{analyze_crosstalk, worst_noise, CrosstalkConfig};
 use crate::flow::FlowResult;
 use smt_cells::library::Library;
 use smt_power::{render_standby_report, StateSource};
-use smt_route::Parasitics;
-use smt_sta::{render_report, Derating, StaConfig};
+use smt_sta::render_report;
 use std::fmt::Write as _;
 
 /// Renders the complete signoff view of a flow result.
-///
-/// `sta_config` should carry the clock the flow ran at (use
-/// `FlowResult::clock_period`).
 pub fn render_signoff(result: &FlowResult, lib: &Library, top_paths: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== signoff: {} ===", result.netlist.name);
@@ -64,27 +60,12 @@ pub fn render_signoff(result: &FlowResult, lib: &Library, top_paths: usize) -> S
         );
     }
 
-    // Timing: re-derive parasitics at the recorded placement (estimate is
-    // sufficient for the report; the flow's signoff numbers in
-    // `result.timing` came from extraction).
-    let par = Parasitics::estimate(&result.netlist, lib, &result.placement);
-    let sta_cfg = StaConfig {
-        clock_period: result.clock_period,
-        ..StaConfig::default()
-    };
+    // Timing: the top paths of the signoff analysis (extracted RC).
     let _ = writeln!(out, "\n-- timing --");
     let _ = write!(
         out,
         "{}",
-        render_report(
-            &result.netlist,
-            lib,
-            &par,
-            &result.timing,
-            &sta_cfg,
-            &Derating::none(),
-            top_paths
-        )
+        render_report(&result.netlist, lib, &result.timing, top_paths)
     );
 
     let _ = writeln!(out, "-- power --");

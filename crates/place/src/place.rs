@@ -284,9 +284,8 @@ pub fn place(netlist: &Netlist, lib: &Library, config: &PlacerConfig) -> Placeme
 // The Placer session
 // ---------------------------------------------------------------------------
 
-/// An incremental placement session, mirroring `IncrementalSta`: one
-/// expensive full placement at construction, then window-local
-/// maintenance as the netlist evolves. Clones freely (flow checkpoints
+/// An incremental placement session: one expensive full placement at
+/// construction, then window-local maintenance as the netlist evolves. Clones freely (flow checkpoints
 /// fork it with the rest of the design state).
 #[derive(Debug, Clone)]
 pub struct Placer {

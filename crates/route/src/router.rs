@@ -1,10 +1,10 @@
 //! Incremental global-routing session.
 //!
-//! [`Router`] mirrors the `Placer` / `IncrementalSta` session pattern for
-//! the routing stage: a full [`Router::route`] pass caches one
-//! congestion-blind route per net, and [`Router::reroute_nets`] later
-//! revalidates only the nets whose pin lists changed (cell swapped, load
-//! rebound, instance moved), reusing everything else.
+//! [`Router`] mirrors the `Placer` session pattern for the routing
+//! stage: a full [`Router::route`] pass caches one congestion-blind
+//! route per net, and [`Router::reroute_nets`] later revalidates only
+//! the nets whose pin lists changed (cell swapped, load rebound,
+//! instance moved), reusing everything else.
 //!
 //! The routing algorithm is organised so that reuse is *exact*, not
 //! approximate:

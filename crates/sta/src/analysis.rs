@@ -98,6 +98,31 @@ impl HoldViolation {
     }
 }
 
+/// Merges per-corner hold-violation lists into the union a multi-corner
+/// ECO must fix: per flip-flop, the violation with the worst (most
+/// negative) slack wins. Ordered by flip-flop id, matching the full
+/// analysis.
+pub fn merge_hold_violations<I>(groups: I) -> Vec<HoldViolation>
+where
+    I: IntoIterator<Item = Vec<HoldViolation>>,
+{
+    let mut worst: Vec<HoldViolation> = Vec::new();
+    for group in groups {
+        for v in group {
+            match worst.iter_mut().find(|w| w.ff == v.ff) {
+                Some(w) => {
+                    if v.slack() < w.slack() {
+                        *w = v;
+                    }
+                }
+                None => worst.push(v),
+            }
+        }
+    }
+    worst.sort_by_key(|v| v.ff.index());
+    worst
+}
+
 /// Complete timing report.
 #[derive(Debug, Clone)]
 pub struct TimingReport {
@@ -115,7 +140,7 @@ pub struct TimingReport {
     pub tns: Time,
     /// Hold violations at flip-flops.
     pub hold_violations: Vec<HoldViolation>,
-    clock_period: Time,
+    pub(crate) clock_period: Time,
 }
 
 impl TimingReport {
@@ -617,21 +642,41 @@ pub fn worst_path(netlist: &Netlist, lib: &Library, report: &TimingReport) -> Ve
             }
         }
     }
-    let Some((_, mut net)) = worst else {
+    let Some((_, net)) = worst else {
         return Vec::new();
     };
-    let mut path = Vec::new();
+    trace_back(netlist, lib, report, net)
+        .into_iter()
+        .map_while(|net| match netlist.net(net).driver {
+            Some(NetDriver::Inst(pr)) => Some(pr.inst),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Walks a path backwards from `endpoint` through the latest-arriving
+/// logic input of each gate; returns its nets, endpoint first. Every
+/// net but the last is driven by an instance; the walk stops after a
+/// flip-flop's `Q` net, or at a net driven by an input port or by
+/// nothing.
+pub(crate) fn trace_back(
+    netlist: &Netlist,
+    lib: &Library,
+    report: &TimingReport,
+    endpoint: NetId,
+) -> Vec<NetId> {
+    let mut path = vec![endpoint];
+    let mut net = endpoint;
     while let Some(NetDriver::Inst(pr)) = netlist.net(net).driver {
-        let driver = pr.inst;
-        let cell = lib.cell(netlist.inst(driver).cell);
-        path.push(driver);
+        let inst = netlist.inst(pr.inst);
+        let cell = lib.cell(inst.cell);
         if !cell.is_logic() {
             break; // reached an FF
         }
         // Pick the input with the latest arrival.
         let mut best: Option<(Time, NetId)> = None;
         for &pin in &cell.logic_input_pins() {
-            if let Some(inet) = netlist.inst(driver).net_on(pin) {
+            if let Some(inet) = inst.net_on(pin) {
                 let at = report.arrival[inet.index()];
                 if best.map(|(b, _)| at > b).unwrap_or(true) {
                     best = Some((at, inet));
@@ -642,6 +687,7 @@ pub fn worst_path(netlist: &Netlist, lib: &Library, report: &TimingReport) -> Ve
             Some((_, inet)) => net = inet,
             None => break,
         }
+        path.push(net);
         if path.len() > netlist.num_instances() {
             break; // defensive
         }

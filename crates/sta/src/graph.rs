@@ -1,15 +1,14 @@
-//! The shared levelized timing-graph kernel.
+//! The shared levelized timing-graph kernel: the one STA engine behind
+//! [`analyze`](crate::analysis::analyze),
+//! [`analyze_with_graph`](crate::analysis::analyze_with_graph) and
+//! [`analyze_cached`](crate::analysis::analyze_cached).
 //!
-//! Every timing consumer in the workspace — one-shot
-//! [`analyze`](crate::analysis::analyze), the resident
-//! [`IncrementalSta`](crate::incremental::IncrementalSta), and the
-//! per-corner [`MultiCornerSta`](crate::multicorner::MultiCornerSta) —
-//! used to rediscover the same facts on every propagation step: the sink
-//! ordinal of each input pin (a linear scan of its net's load list) and
-//! the capacitive load of each net (a fresh sum over its sinks). Both
-//! scans are `O(fanout)`, which makes arrival propagation quadratic in
-//! fanout and dominates the Fig. 4 optimisation loops that call timing
-//! thousands of times.
+//! The pre-kernel analysis rediscovered the same facts on every
+//! propagation step: the sink ordinal of each input pin (a linear scan of
+//! its net's load list) and the capacitive load of each net (a fresh sum
+//! over its sinks). Both scans are `O(fanout)`, which makes arrival
+//! propagation quadratic in fanout and dominates the Fig. 4 optimisation
+//! loops that call timing thousands of times.
 //!
 //! A [`TimingGraph`] is built **once per netlist topology** and holds the
 //! parts that are expensive to rediscover and invariant across corner
@@ -24,10 +23,12 @@
 //!   cache, replacing every per-edge `position()` scan with one array
 //!   read.
 //!
-//! The *library-dependent* leaves — per-net static pin loads and the
-//! ordinal table a long-lived engine must refresh after cell swaps —
-//! live in a per-consumer [`SinkCache`], so one graph is shared across
-//! all corners while each corner prices its own library.
+//! The leaves that depend on the netlist's current state — per-net
+//! static pin loads and the sink-ordinal table — live in a
+//! [`SinkCache`]. Both are corner-invariant too, so a per-corner loop
+//! over an unchanged netlist shares one graph and one cache, while a
+//! caller that edits the netlist between analyses (the dual-Vth probes)
+//! rebuilds only the cache.
 //!
 //! Propagation over the graph is **bit-identical** to the legacy
 //! sequential propagation (see `tests/properties.rs`): instances within
@@ -142,7 +143,7 @@ fn dangling_lookup(pr: PinRef) -> ! {
 /// Forward-propagation state over all nets: max/min arrivals and slews,
 /// indexed by `NetId::index()`.
 #[derive(Debug, Clone)]
-pub struct PropState {
+pub(crate) struct PropState {
     /// Max arrival per net (at the driver pin, wire delay excluded).
     pub arrival: Vec<Time>,
     /// Min arrival per net (`+inf` for nets no timed source reaches).
@@ -159,9 +160,6 @@ pub struct TimingGraph {
     /// Per-level offsets into `order`; level `l` is
     /// `order[level_start[l]..level_start[l + 1]]`.
     level_start: Vec<u32>,
-    /// Logic depth per instance slot; `u32::MAX` off the combinational
-    /// core (same convention as [`smt_netlist::graph::TopoOrder`]).
-    level: Vec<u32>,
     /// CSR offsets of each instance slot's pin row in a [`SinkCache`]'s
     /// ordinal table (`pin_start.len() == inst_capacity + 1`).
     pin_start: Vec<u32>,
@@ -273,7 +271,7 @@ impl TimingGraph {
     ///
     /// `lib` supplies cell *structure* (roles, pin directions, output
     /// pins); any corner variant of the same library builds the same
-    /// graph, so multi-corner engines build one and share it.
+    /// graph, so multi-corner callers build one and share it.
     ///
     /// # Errors
     ///
@@ -330,7 +328,6 @@ impl TimingGraph {
         Ok(TimingGraph {
             order,
             level_start,
-            level: topo.level,
             pin_start,
             cells: CellTables::build(lib),
             ffs,
@@ -341,19 +338,6 @@ impl TimingGraph {
     /// Live sequential instances (in id order) at build time.
     pub(crate) fn ffs(&self) -> &[InstId] {
         &self.ffs
-    }
-
-    /// One net's static load from the flat cap table: sink pin caps in
-    /// load-list order (so the float sum matches a direct recomputation
-    /// bit-for-bit) plus the pad cap of any output ports. Wire cap is
-    /// added at query time from the active parasitics.
-    fn static_load_of(&self, netlist: &Netlist, net: &Net) -> Cap {
-        let pins: Cap = net
-            .loads
-            .iter()
-            .map(|pr| self.cells.pin_cap(netlist.inst(pr.inst).cell, pr.pin))
-            .sum();
-        pins + Cap::new(2.0 * net.port_loads.len() as f64)
     }
 
     /// Number of levels in the combinational core.
@@ -370,14 +354,6 @@ impl TimingGraph {
     /// loads, like `TopoOrder::order`).
     pub fn order(&self) -> &[InstId] {
         &self.order
-    }
-
-    /// Logic depth of an instance (`None` off the combinational core).
-    pub fn level_of(&self, inst: InstId) -> Option<u32> {
-        match self.level.get(inst.index()).copied() {
-            Some(u32::MAX) | None => None,
-            Some(l) => Some(l),
-        }
     }
 
     /// Builds the per-consumer cache: per-net static pin loads and the
@@ -467,7 +443,7 @@ impl TimingGraph {
     /// Returns `(net, arrival, arrival_min, slew)`, or `None` for cells
     /// without a timed output.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn eval_inst(
+    fn eval_inst(
         &self,
         netlist: &Netlist,
         lib: &Library,
@@ -518,7 +494,7 @@ impl TimingGraph {
     /// Seeds timing sources — primary inputs and flip-flop `Q` pins —
     /// into a fresh propagation state.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn seed_sources(
+    fn seed_sources(
         &self,
         netlist: &Netlist,
         lib: &Library,
@@ -564,7 +540,7 @@ impl TimingGraph {
     /// net), and results are written back in item order, so the state
     /// this produces is bit-identical for any worker count — and to the
     /// legacy sequential propagation.
-    pub fn propagate(
+    pub(crate) fn propagate(
         &self,
         netlist: &Netlist,
         lib: &Library,
@@ -624,12 +600,13 @@ impl TimingGraph {
     }
 }
 
-/// Per-consumer, library-dependent companion to a shared
-/// [`TimingGraph`]: per-net static loads (sink pin caps + port pad
-/// caps, wire cap excluded) and the sink-ordinal table. A resident
-/// engine refreshes the nets an edit touched via
-/// [`SinkCache::refresh_net`]; one-shot analysis builds a fresh cache
-/// per call.
+/// Companion to a shared [`TimingGraph`] for one netlist state: per-net
+/// static loads (sink pin caps + port pad caps, wire cap excluded) and
+/// the sink-ordinal table. It is corner-invariant, so one cache serves
+/// every corner library of an unchanged netlist
+/// ([`analyze_cached`](crate::analysis::analyze_cached)). A netlist edit
+/// can reorder load lists, so after one the caller derives a fresh cache
+/// with [`TimingGraph::build_cache`].
 #[derive(Debug, Clone)]
 pub struct SinkCache {
     /// Sink ordinal per (instance, pin), CSR-indexed through the
@@ -644,18 +621,6 @@ impl SinkCache {
     #[inline]
     pub fn static_load(&self, net: NetId) -> Cap {
         self.load[net.index()]
-    }
-
-    /// Re-derives one net's static load and its sinks' ordinals from
-    /// the current netlist — called by resident engines for every net
-    /// on an edited instance's pins, whose load lists a
-    /// `replace_cell`-style edit reorders.
-    pub fn refresh_net(&mut self, graph: &TimingGraph, netlist: &Netlist, net: NetId) {
-        let n = netlist.net(net);
-        self.load[net.index()] = graph.static_load_of(netlist, n);
-        for (ord, pr) in n.loads.iter().enumerate() {
-            self.ord[graph.pin_start[pr.inst.index()] as usize + pr.pin] = ord as u32;
-        }
     }
 }
 

@@ -13,15 +13,16 @@
 //! per-instance [`Derating`] that the MTCMOS clustering uses to apply the
 //! VGND-bounce penalty to MT-cells.
 //!
-//! All analysis runs on the shared levelized [`TimingGraph`] kernel
-//! (see [`graph`]): built once per netlist topology, it precomputes
-//! CSR adjacency, levelization and per-sink Elmore ordinals, and runs a
-//! level-parallel forward propagation that is bit-identical to the
-//! retired sequential walk ([`analyze_baseline`] is kept as the
-//! differential-testing reference). Repeated-analysis callers build the
-//! graph once and use [`analyze_with_graph`]; resident engines
-//! ([`IncrementalSta`], [`MultiCornerSta`]) share one graph across
-//! swaps and corners.
+//! All analysis runs on one engine, the shared levelized
+//! [`TimingGraph`] kernel (see [`graph`]): built once per netlist
+//! topology, it precomputes CSR adjacency, levelization and per-sink
+//! Elmore ordinals, and runs a level-parallel forward propagation
+//! followed by the required-time pass. It is bit-identical to the
+//! retired sequential walk, kept as [`analyze_baseline`], the
+//! differential-testing oracle. [`analyze`] builds a fresh graph per
+//! call; repeated-analysis callers build the graph once and use
+//! [`analyze_with_graph`], and per-corner loops over an unchanged
+//! netlist also share one [`SinkCache`] through [`analyze_cached`].
 //!
 //! ```no_run
 //! use smt_cells::library::Library;
@@ -41,15 +42,11 @@
 
 pub mod analysis;
 pub mod graph;
-pub mod incremental;
-pub mod multicorner;
 pub mod report;
 
 pub use analysis::{
-    analyze, analyze_baseline, analyze_cached, analyze_with_graph, worst_path, Derating,
-    HoldViolation, StaConfig, TimingReport,
+    analyze, analyze_baseline, analyze_cached, analyze_with_graph, merge_hold_violations,
+    worst_path, Derating, HoldViolation, StaConfig, TimingReport,
 };
-pub use graph::{PropState, SinkCache, TimingGraph};
-pub use incremental::IncrementalSta;
-pub use multicorner::{merge_hold_violations, CornerSta, MultiCornerSta};
+pub use graph::{SinkCache, TimingGraph};
 pub use report::{render_report, worst_paths, ReportedPath};

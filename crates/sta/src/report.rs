@@ -1,25 +1,32 @@
 //! Human-readable timing reports: top-K worst paths with per-stage
 //! breakdown, in the spirit of `report_timing`.
+//!
+//! Every figure comes from the [`TimingReport`] being rendered: stage
+//! arrivals are its per-net arrivals and slacks its per-net slacks, so
+//! the report can never disagree with the analysis it describes.
 
-use crate::analysis::{Derating, StaConfig, TimingReport};
-use smt_base::units::{Cap, Time};
+use crate::analysis::{trace_back, TimingReport};
+use smt_base::units::Time;
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, NetDriver, NetId, Netlist, PortDir};
-use smt_route::Parasitics;
 use std::fmt::Write as _;
 
 /// One stage of a reported path.
 #[derive(Debug, Clone)]
 pub struct PathStage {
-    /// Driving instance (None for the launching port/FF).
+    /// Driving instance (None for a launching input port).
     pub inst: Option<InstId>,
-    /// Display name (instance or port).
+    /// The net this stage drives.
+    pub net: NetId,
+    /// Display name (instance output pin or port).
     pub what: String,
     /// Cell type name, if an instance.
     pub cell: String,
-    /// Stage delay (cell arc + wire to the next pin).
+    /// Stage delay: this stage's arrival minus the previous stage's (the
+    /// incoming wire plus the cell arc).
     pub delay: Time,
-    /// Cumulative arrival after this stage.
+    /// Arrival at this stage's driver pin (the report's arrival of
+    /// [`PathStage::net`]).
     pub arrival: Time,
 }
 
@@ -61,15 +68,13 @@ impl ReportedPath {
 /// Collects the `k` worst setup paths of a timed design.
 ///
 /// Endpoints are ranked by slack; for each, the path is traced backwards
-/// through the worst-arrival fan-in, then reported launch-first with
-/// per-stage delays recomputed from the same models STA used.
+/// through the worst-arrival fan-in (the walk
+/// [`worst_path`](crate::analysis::worst_path) uses), then reported
+/// launch-first with the analysis's own arrivals.
 pub fn worst_paths(
     netlist: &Netlist,
     lib: &Library,
-    parasitics: &Parasitics,
     report: &TimingReport,
-    config: &StaConfig,
-    derating: &Derating,
     k: usize,
 ) -> Vec<ReportedPath> {
     // Endpoint list: (slack, endpoint net, description).
@@ -103,142 +108,66 @@ pub fn worst_paths(
 
     endpoints
         .into_iter()
-        .map(|(slack, net, endpoint)| {
-            let stages = trace(netlist, lib, parasitics, report, config, derating, net);
-            ReportedPath {
-                endpoint,
-                slack,
-                stages,
-            }
+        .map(|(slack, net, endpoint)| ReportedPath {
+            endpoint,
+            slack,
+            stages: trace(netlist, lib, report, net),
         })
         .collect()
-}
-
-fn net_load(netlist: &Netlist, lib: &Library, parasitics: &Parasitics, net: NetId) -> Cap {
-    let n = netlist.net(net);
-    let pins: Cap = n
-        .loads
-        .iter()
-        .map(|pr| lib.cell(netlist.inst(pr.inst).cell).pins[pr.pin].cap)
-        .sum();
-    pins + Cap::new(2.0 * n.port_loads.len() as f64) + parasitics.net(net).wire_cap
 }
 
 fn trace(
     netlist: &Netlist,
     lib: &Library,
-    parasitics: &Parasitics,
     report: &TimingReport,
-    config: &StaConfig,
-    derating: &Derating,
     endpoint: NetId,
 ) -> Vec<PathStage> {
-    // Walk backwards choosing the worst-arrival input at each gate.
-    let mut chain: Vec<(InstId, NetId)> = Vec::new();
-    let mut net = endpoint;
-    let mut launch: Option<String> = None;
-    for _ in 0..netlist.num_instances() + 2 {
-        match netlist.net(net).driver {
-            Some(NetDriver::Port(p)) => {
-                launch = Some(format!("input port {}", netlist.port(p).name));
-                break;
-            }
-            Some(NetDriver::Inst(pr)) => {
-                let cell = lib.cell(netlist.inst(pr.inst).cell);
-                chain.push((pr.inst, net));
-                if !cell.is_logic() {
-                    launch = Some(format!("{}/Q ({})", netlist.inst(pr.inst).name, cell.name));
-                    chain.pop();
-                    // Keep the FF as the launching stage.
-                    chain.push((pr.inst, net));
-                    break;
-                }
-                let mut best: Option<(Time, NetId)> = None;
-                for &pin in &cell.logic_input_pins() {
-                    if let Some(inet) = netlist.inst(pr.inst).net_on(pin) {
-                        let at = report.arrival[inet.index()];
-                        if best.map(|(b, _)| at > b).unwrap_or(true) {
-                            best = Some((at, inet));
-                        }
-                    }
-                }
-                match best {
-                    Some((_, inet)) => net = inet,
-                    None => break,
-                }
-            }
-            None => break,
-        }
-    }
-    chain.reverse();
-
     let mut stages = Vec::new();
-    let mut arrival = Time::ZERO;
-    if let Some(l) = launch {
-        let is_port = l.starts_with("input port");
-        if is_port {
-            arrival = config.input_delay;
-        }
+    let mut prev = Time::ZERO;
+    for net in trace_back(netlist, lib, report, endpoint).into_iter().rev() {
+        let (inst, what, cell) = match netlist.net(net).driver {
+            Some(NetDriver::Port(p)) => (
+                None,
+                format!("input port {}", netlist.port(p).name),
+                String::new(),
+            ),
+            Some(NetDriver::Inst(pr)) => {
+                let inst = netlist.inst(pr.inst);
+                let cell = lib.cell(inst.cell);
+                (
+                    Some(pr.inst),
+                    format!("{}/{}", inst.name, cell.pins[pr.pin].name),
+                    cell.name.clone(),
+                )
+            }
+            None => continue,
+        };
+        let arrival = report.arrival[net.index()];
         stages.push(PathStage {
-            inst: None,
-            what: l,
-            cell: String::new(),
-            delay: arrival,
+            inst,
+            net,
+            what,
+            cell,
+            delay: arrival - prev,
             arrival,
         });
-    }
-    for (inst, onet) in chain {
-        let cell = lib.cell(netlist.inst(inst).cell);
-        let load = net_load(netlist, lib, parasitics, onet);
-        // Stage delay: the arc from the input on the traced path (use the
-        // first arc as representative when ambiguous) plus this net's
-        // worst sink wire delay.
-        let arc_delay = cell
-            .arcs
-            .first()
-            .map(|a| a.delay(config.source_slew, load))
-            .unwrap_or(Time::ZERO)
-            * derating.factor(inst);
-        let wire = netlist
-            .net(onet)
-            .loads
-            .iter()
-            .enumerate()
-            .map(|(k, _)| parasitics.net(onet).elmore(k))
-            .fold(Time::ZERO, Time::max);
-        let delay = arc_delay + wire;
-        arrival += delay;
-        stages.push(PathStage {
-            inst: Some(inst),
-            what: format!("{}/Z", netlist.inst(inst).name),
-            cell: cell.name.clone(),
-            delay,
-            arrival,
-        });
+        prev = arrival;
     }
     stages
 }
 
 /// Renders a summary header plus the top-K paths as one text report.
-pub fn render_report(
-    netlist: &Netlist,
-    lib: &Library,
-    parasitics: &Parasitics,
-    report: &TimingReport,
-    config: &StaConfig,
-    derating: &Derating,
-    k: usize,
-) -> String {
+pub fn render_report(netlist: &Netlist, lib: &Library, report: &TimingReport, k: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "timing report: clock {} | wns {} | tns {} | hold violations {}",
-        config.clock_period,
+        report.clock_period,
         report.wns,
         report.tns,
         report.hold_violations.len()
     );
-    for p in worst_paths(netlist, lib, parasitics, report, config, derating, k) {
+    for p in worst_paths(netlist, lib, report, k) {
         let _ = writeln!(out, "{}", p.render());
     }
     out
@@ -247,8 +176,9 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze;
+    use crate::analysis::{analyze, Derating, StaConfig};
     use smt_place::{place, PlacerConfig};
+    use smt_route::Parasitics;
 
     fn chain(lib: &Library, len: usize) -> Netlist {
         let mut n = Netlist::new("chain");
@@ -278,7 +208,7 @@ mod tests {
         let par = Parasitics::estimate(&n, &lib, &p);
         let cfg = StaConfig::default();
         let r = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
-        let paths = worst_paths(&n, &lib, &par, &r, &cfg, &Derating::none(), 2);
+        let paths = worst_paths(&n, &lib, &r, 2);
         assert!(!paths.is_empty());
         let worst = &paths[0];
         assert!(worst.endpoint.contains("ff/D"), "{}", worst.endpoint);
@@ -301,7 +231,7 @@ mod tests {
         let par = Parasitics::estimate(&n, &lib, &p);
         let cfg = StaConfig::default();
         let r = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
-        let text = render_report(&n, &lib, &par, &r, &cfg, &Derating::none(), 3);
+        let text = render_report(&n, &lib, &r, 3);
         assert!(text.contains("timing report"));
         assert!(text.contains("wns"));
         assert!(text.contains("endpoint:"));
@@ -333,12 +263,51 @@ mod tests {
         let par = Parasitics::estimate(&n, &lib, &p);
         let cfg = StaConfig::default();
         let r = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
-        let paths = worst_paths(&n, &lib, &par, &r, &cfg, &Derating::none(), 4);
+        let paths = worst_paths(&n, &lib, &r, 4);
         assert!(
             paths[0].endpoint.contains("deep_ff"),
             "{}",
             paths[0].endpoint
         );
         assert!(paths[0].slack < paths.last().unwrap().slack);
+    }
+
+    #[test]
+    fn path_arrivals_and_slacks_are_the_analysis_figures() {
+        // The report prints the analysis it was handed: every stage's
+        // arrival is the STA arrival of the net it drives (propagated
+        // slews, per-sink wire delays), and every path's slack is the STA
+        // slack of its endpoint, on both endpoints of each chain.
+        let lib = Library::industrial_130nm();
+        for len in [4usize, 8, 16] {
+            let n = chain(&lib, len);
+            let p = place(&n, &lib, &PlacerConfig::default());
+            let par = Parasitics::estimate(&n, &lib, &p);
+            let r = analyze(&n, &lib, &par, &StaConfig::default(), &Derating::none()).unwrap();
+            let paths = worst_paths(&n, &lib, &r, 2);
+            assert_eq!(paths.len(), 2, "{len} inverters: ff/D and port q");
+            for path in &paths {
+                let end = path.stages.last().unwrap().net;
+                assert_eq!(
+                    path.slack,
+                    r.slack(end),
+                    "{len} inverters: {}",
+                    path.endpoint
+                );
+                for s in &path.stages {
+                    assert_eq!(
+                        s.arrival,
+                        r.arrival[s.net.index()],
+                        "{len} inverters: {}",
+                        s.what
+                    );
+                }
+            }
+            let d = paths.iter().find(|p| p.endpoint.contains("ff/D")).unwrap();
+            let d_net = n.find_net(&format!("w{}", len - 1)).unwrap();
+            assert_eq!(d.stages.len(), len + 1, "input port + {len} inverters");
+            assert_eq!(d.stages.last().unwrap().net, d_net);
+            assert_eq!(d.slack, r.slack(d_net));
+        }
     }
 }

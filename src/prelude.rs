@@ -29,4 +29,3 @@ pub use smt_core::flow::{run_flow, run_flow_netlist};
 pub use smt_core::suite::{
     plan_shards, render_suite, ShardPlan, ShardStrategy, SuiteReport, WorkloadSuite,
 };
-pub use smt_sta::{IncrementalSta, MultiCornerSta};

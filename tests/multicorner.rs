@@ -1,14 +1,11 @@
 //! Multi-corner subsystem integration tests.
 //!
-//! The two equivalence contracts the corner work rests on:
-//!
-//! 1. restricted to the single identity (`typ`) corner, `MultiCornerSta`
-//!    is **bit-identical** to the single-corner `smt_sta::analyze`
-//!    results — arrivals, min arrivals, WNS and hold checks — on the
-//!    generated benchmark circuits (this is what guarantees the default
-//!    flow is unchanged by the corner plumbing);
-//! 2. incremental per-corner updates after an arbitrary sequence of Vth
-//!    swaps match a from-scratch `MultiCornerSta` rebuild.
+//! The equivalence contract the corner work rests on: at the single
+//! identity (`typ`) corner, the one STA engine (`smt_sta::analyze`) is
+//! **bit-identical** to the base library's timing — arrivals, min
+//! arrivals, WNS and hold checks — on the generated benchmark circuits.
+//! This is what guarantees the default flow is unchanged by the corner
+//! plumbing.
 //!
 //! Plus the flow-level acceptance: `run_three_techniques` under a
 //! three-corner set emits a per-corner signoff table for every
@@ -16,9 +13,7 @@
 //! bit-identical primary results to an explicit typical-only set.
 
 use selective_mt::prelude::*;
-use smt_cells::cell::VthClass;
 use smt_cells::corner::CornerLibrary;
-use smt_netlist::netlist::InstId;
 use smt_place::{place, PlacerConfig};
 use smt_route::Parasitics;
 use smt_sta::{analyze, Derating, StaConfig};
@@ -35,11 +30,15 @@ fn bench_circuit(seed: u64, gates: usize, lib: &Library) -> smt_netlist::netlist
     .expect("valid random_logic config")
 }
 
-/// Property: over the generated benchmark circuits, the typical-corner
-/// restriction of `MultiCornerSta` reproduces `analyze` bit-for-bit.
+/// Property: over the generated benchmark circuits, `analyze` times the
+/// typical corner bit-for-bit like the base library, whether the corner
+/// library comes from the typical-only corner set (the flow's default)
+/// or is regenerated from the identity-derived technology.
 #[test]
-fn typical_corner_multicorner_sta_is_bit_identical_to_single_corner() {
+fn typical_corner_libraries_time_bit_identically_to_the_base_library() {
     let lib = Library::industrial_130nm();
+    let set = CornerLibrary::build_set(&lib, &CornerSet::typical_only());
+    let regen = Library::generate(Corner::typical().derive(&lib.tech), lib.config.clone());
     for seed in [1u64, 7, 19, 42, 77] {
         let n = bench_circuit(seed, 220, &lib);
         let p = place(&n, &lib, &PlacerConfig::default());
@@ -47,97 +46,19 @@ fn typical_corner_multicorner_sta_is_bit_identical_to_single_corner() {
         let cfg = StaConfig::default();
         let der = Derating::none();
 
-        let full = analyze(&n, &lib, &par, &cfg, &der).unwrap();
-        let mc =
-            MultiCornerSta::new(&n, &lib, &par, &cfg, &der, &CornerSet::typical_only()).unwrap();
-        assert_eq!(mc.num_corners(), 1);
-
-        for (net, _) in n.nets() {
+        let base = analyze(&n, &lib, &par, &cfg, &der).unwrap();
+        for (name, corner_lib) in [("typical_only", &set[0].lib), ("regenerated", &regen)] {
+            let r = analyze(&n, corner_lib, &par, &cfg, &der).unwrap();
+            assert_eq!(r.arrival, base.arrival, "seed {seed} {name}: arrivals");
             assert_eq!(
-                mc.arrival(0, net),
-                full.arrival[net.index()],
-                "seed {seed} net {net}: arrival"
+                r.arrival_min, base.arrival_min,
+                "seed {seed} {name}: min arrivals"
             );
+            assert_eq!(r.wns, base.wns, "seed {seed} {name}: wns");
             assert_eq!(
-                mc.arrival_min(0, net),
-                full.arrival_min[net.index()],
-                "seed {seed} net {net}: min arrival"
+                r.hold_violations, base.hold_violations,
+                "seed {seed} {name}: hold checks"
             );
-        }
-        assert_eq!(mc.wns_at(0), full.wns, "seed {seed}: wns");
-        assert_eq!(mc.setup_wns(), full.wns, "seed {seed}: setup wns");
-        assert_eq!(
-            mc.hold_violations_at(0),
-            full.hold_violations,
-            "seed {seed}: hold checks"
-        );
-
-        // Same property through the *regeneration* path (not the clone
-        // shortcut): a library generated from the identity-derived
-        // technology times identically.
-        let regen = Library::generate(Corner::typical().derive(&lib.tech), lib.config.clone());
-        let full_regen = analyze(&n, &regen, &par, &cfg, &der).unwrap();
-        assert_eq!(full_regen.wns, full.wns, "seed {seed}: regenerated lib");
-        assert_eq!(full_regen.arrival, full.arrival, "seed {seed}");
-    }
-}
-
-/// Equivalence: incremental per-corner updates across a random Vth-swap
-/// sequence match a from-scratch rebuild at every corner.
-#[test]
-fn incremental_corner_updates_match_rebuild_after_random_swaps() {
-    let lib = Library::industrial_130nm();
-    let set = CornerSet::slow_typ_fast();
-    for seed in [3u64, 12, 31] {
-        let mut n = bench_circuit(seed, 200, &lib);
-        let p = place(&n, &lib, &PlacerConfig::default());
-        let par = Parasitics::estimate(&n, &lib, &p);
-        let cfg = StaConfig::default();
-        let der = Derating::none();
-        let mut mc = MultiCornerSta::new(&n, &lib, &par, &cfg, &der, &set).unwrap();
-
-        let ids: Vec<InstId> = n
-            .instances()
-            .filter(|(_, i)| lib.cell(i.cell).is_logic())
-            .map(|(id, _)| id)
-            .collect();
-        let mut rng = smt_base::SplitMix64::new(seed ^ 0xC0);
-        for _ in 0..20 {
-            let id = *rng.choose(&ids);
-            let cell = lib.cell(n.inst(id).cell);
-            let target = if cell.vth == VthClass::Low {
-                VthClass::High
-            } else {
-                VthClass::Low
-            };
-            let Some(v) = lib.variant_id(n.inst(id).cell, target) else {
-                continue;
-            };
-            n.replace_cell(id, v, &lib).unwrap();
-            mc.update_after_swap(&n, &par, &der, id);
-        }
-
-        let fresh = MultiCornerSta::new(&n, &lib, &par, &cfg, &der, &set).unwrap();
-        for k in 0..set.len() {
-            assert!(
-                (mc.wns_at(k) - fresh.wns_at(k)).abs().ps() < 1e-6,
-                "seed {seed} corner {k}: {} vs {}",
-                mc.wns_at(k),
-                fresh.wns_at(k)
-            );
-            let (a, b) = (mc.hold_violations_at(k), fresh.hold_violations_at(k));
-            assert_eq!(a.len(), b.len(), "seed {seed} corner {k}: hold count");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.ff, y.ff, "seed {seed} corner {k}");
-                assert!((x.arrival_min - y.arrival_min).abs().ps() < 1e-6);
-            }
-            // Spot-check arrivals across the whole net set.
-            for (net, _) in n.nets() {
-                assert!(
-                    (mc.arrival(k, net) - fresh.arrival(k, net)).abs().ps() < 1e-6,
-                    "seed {seed} corner {k} net {net}"
-                );
-            }
         }
     }
 }
