@@ -37,9 +37,11 @@
 //!   re-derivation the ECO loop runs, so they are fork-construction
 //!   cost, not per-iteration cost.
 //! * The route capacity is raised until the workload is congestion-free
-//!   (asserted): rip-up & reroute is a global sequential resolution that
-//!   re-runs identically on both paths, so a congested workload only
-//!   adds a shared constant to both sides.
+//!   (asserted). The flow routes each net once by default, but a config
+//!   that opts into rip-up & reroute would re-run that global sequential
+//!   resolution identically on both paths: a congested workload would
+//!   only add a shared constant to both sides, so the bench keeps its
+//!   result independent of `rrr_iterations`.
 //!
 //! Records `eco_incremental_speedup` (cold median / warm median, higher
 //! is better) for the CI regression gate.

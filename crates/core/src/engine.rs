@@ -712,6 +712,13 @@ pub struct FlowResult {
     /// Per-corner signoff rows, in corner-set order (a single `typ` row
     /// for the default single-corner configuration).
     pub corner_signoff: Vec<CornerSignoff>,
+    /// Track demand above capacity, summed over the final global
+    /// route's tile edges (0 = congestion-free). The router reports
+    /// overflow; it resolves none unless rip-up & reroute is configured.
+    pub overflow: u64,
+    /// Peak tile-edge utilisation (demand / capacity) of the final
+    /// global route.
+    pub peak_utilization: f64,
 }
 
 impl FlowResult {
@@ -720,6 +727,11 @@ impl FlowResult {
             stage: StageId::Signoff,
             what,
         };
+        let route = state
+            .router
+            .as_ref()
+            .map(Router::global)
+            .ok_or(missing("global route"))?;
         Ok(FlowResult {
             census: state.netlist.vth_census(lib),
             area: state.netlist.total_area(lib),
@@ -740,6 +752,8 @@ impl FlowResult {
             standby_leakage: state.standby_leakage.ok_or(missing("standby leakage"))?,
             active_leakage: state.active_leakage.ok_or(missing("active leakage"))?,
             corner_signoff: state.corner_signoff,
+            overflow: route.overflow,
+            peak_utilization: route.peak_utilization,
             netlist: state.netlist,
         })
     }
@@ -750,6 +764,7 @@ impl FlowResult {
     /// field is missing; the caller then takes the owning path, which
     /// reports which one.
     fn from_finished(state: &DesignState, lib: &Library) -> Option<Self> {
+        let route = state.router.as_ref()?.global();
         Some(FlowResult {
             clock_period: state.clock_period?,
             standby_leakage: state.standby_leakage?,
@@ -766,6 +781,8 @@ impl FlowResult {
             cts: state.cts.clone(),
             reopt: state.reopt,
             corner_signoff: state.corner_signoff.clone(),
+            overflow: route.overflow,
+            peak_utilization: route.peak_utilization,
             golden: state.golden.clone(),
             netlist: state.netlist.clone(),
         })

@@ -1,7 +1,7 @@
-//! Flow signoff report: one text block combining the stage walkthrough,
-//! the timing report (top paths), the standby power breakdown, the
-//! cluster electrical state and the crosstalk exposure — the "final
-//! layout" readout of Fig. 4.
+//! Flow signoff report: one text block combining the route congestion
+//! summary, the stage walkthrough, the timing report (top paths), the
+//! standby power breakdown, the cluster electrical state and the
+//! crosstalk exposure — the "final layout" readout of Fig. 4.
 
 use crate::crosstalk::{analyze_crosstalk, worst_noise, CrosstalkConfig};
 use crate::flow::FlowResult;
@@ -43,6 +43,11 @@ pub fn render_signoff(result: &FlowResult, lib: &Library, top_paths: usize) -> S
             Some(m) => format!(", {} mismatches (first: {m})", eq.mismatches.len()),
             None => String::new(),
         }
+    );
+    let _ = writeln!(
+        out,
+        "route: overflow {} tracks over capacity, peak edge utilization {:.2}",
+        result.overflow, result.peak_utilization
     );
 
     let _ = writeln!(out, "\n-- flow stages --");
@@ -173,6 +178,7 @@ mod tests {
         let text = render_signoff(&r, &lib, 2);
         for needle in [
             "=== signoff",
+            "route: overflow",
             "flow stages",
             "-- timing --",
             "endpoint:",

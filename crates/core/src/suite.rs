@@ -487,6 +487,9 @@ pub struct SuiteOutcome {
     pub equiv_truncated: Option<bool>,
     /// Per-corner signoff rows, in corner-set order.
     pub corner_signoff: Vec<CornerSignoff>,
+    /// Track demand above capacity over the final global route
+    /// ([`FlowResult::overflow`]).
+    pub overflow: u64,
 }
 
 impl SuiteOutcome {
@@ -519,6 +522,7 @@ impl SuiteOutcome {
             equiv_cycles_run: None,
             equiv_truncated: None,
             corner_signoff: r.corner_signoff.clone(),
+            overflow: r.overflow,
         }
     }
 
@@ -787,6 +791,7 @@ impl SuiteReport {
                 "WNS ps",
                 "Hold",
                 "Standby uA",
+                "Overflow",
                 "Equiv",
                 "Status",
                 "Time s",
@@ -802,6 +807,7 @@ impl SuiteReport {
                     format!("{:.1}", o.wns.ps()),
                     o.hold_violations.to_string(),
                     format!("{:.5}", o.standby_leakage.ua()),
+                    o.overflow.to_string(),
                     match (o.equivalent, &o.equiv_error) {
                         (_, Some(_)) => "ERR".to_owned(),
                         // `0 cycles` = every output was fraig-proven.
@@ -823,6 +829,7 @@ impl SuiteReport {
                 Err(e) => t.row_owned(vec![
                     row.name.clone(),
                     row.gates_in.to_string(),
+                    "-".to_owned(),
                     "-".to_owned(),
                     "-".to_owned(),
                     "-".to_owned(),
@@ -1002,7 +1009,7 @@ impl SuiteReport {
 }
 
 /// Format tag guarding [`SuiteReport::from_json`] against foreign files.
-const FORMAT_TAG: &str = "smt-suite-report-v2";
+const FORMAT_TAG: &str = "smt-suite-report-v3";
 
 fn row_to_json(row: &SuiteRow, timing: bool) -> Json {
     let mut m = BTreeMap::new();
@@ -1055,6 +1062,7 @@ fn outcome_to_json(o: &SuiteOutcome) -> Json {
     );
     m.insert("standby_ua".to_owned(), Json::Num(o.standby_leakage.ua()));
     m.insert("active_ua".to_owned(), Json::Num(o.active_leakage.ua()));
+    m.insert("overflow".to_owned(), Json::Num(o.overflow as f64));
     let mut census = BTreeMap::new();
     for (k, v) in [
         ("low", o.census.low),
@@ -1279,6 +1287,10 @@ fn outcome_from_json(json: &Json, name: &str) -> Result<SuiteOutcome, String> {
         equiv_cycles_run: json.get("equiv_cycles_run").and_then(Json::as_usize),
         equiv_truncated: json.get("equiv_truncated").and_then(Json::as_bool),
         corner_signoff,
+        overflow: json
+            .get("overflow")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| field("overflow"))?,
     })
 }
 
@@ -1768,10 +1780,18 @@ mod tests {
             equiv_cycles_run: Some(48),
             equiv_truncated: Some(false),
             corner_signoff: Vec::new(),
+            overflow: 6_542,
         };
         let json = outcome.to_json();
         let back = SuiteOutcome::from_json(&json, "stub").expect("outcome round trip");
         assert_eq!(back.to_json().render(), json.render());
         assert_eq!(back.digest(), outcome.digest());
+        assert_eq!(back.overflow, outcome.overflow);
+        // Overflow enters the digest like every other outcome field.
+        let congested = SuiteOutcome {
+            overflow: outcome.overflow + 1,
+            ..outcome.clone()
+        };
+        assert_ne!(congested.digest(), outcome.digest());
     }
 }

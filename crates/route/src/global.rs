@@ -1,13 +1,19 @@
-//! Grid-based global routing with congestion-aware maze search and
-//! rip-up & reroute.
+//! Grid-based global routing: each net is routed once, by maze search
+//! over a tile grid.
 //!
 //! The die is tiled; every tile boundary has a track capacity. Each net's
-//! Steiner edges are routed as two-pin connections by A* over the tile
-//! graph with a congestion-penalised cost, and nets crossing overflowed
-//! edges are ripped up and rerouted with a sharper penalty. The outcome
-//! per net is a *routed length*, which extraction converts to post-route
-//! RC — the "precise RC information which is generated after routing" of
-//! the paper.
+//! Steiner edges are routed as two-pin connections by A* over the empty
+//! tile graph, so every net takes an L1-shortest tile path and no net
+//! detours around another. The outcome per net is a *routed length*,
+//! which extraction converts to post-route RC — the "precise RC
+//! information which is generated after routing" of the paper. Demand
+//! above capacity is not resolved but reported: [`GlobalRoute::overflow`]
+//! and [`GlobalRoute::peak_utilization`] reach the flow result and the
+//! suite table.
+//!
+//! Rip-up & reroute is opt-in through [`RouteConfig::rrr_iterations`]:
+//! nets crossing overflowed edges are then ripped up and rerouted with a
+//! congestion-penalised cost.
 
 use smt_base::geom::Point;
 use smt_cells::library::Library;
@@ -23,7 +29,13 @@ pub struct RouteConfig {
     pub tile_um: f64,
     /// Routing tracks per tile boundary.
     pub capacity: u32,
-    /// Rip-up & reroute iterations after the initial pass.
+    /// Rip-up & reroute iterations after the initial pass. The default
+    /// is 0: every net is routed once, on the empty grid. On this grid
+    /// rip-up & reroute does not converge (the random designs overflow
+    /// whatever it does), and its detours lengthen the routes that
+    /// post-route re-optimisation and ECO time, which costs standby
+    /// leakage and area. The field goes once the benchmark (`perfbench/`)
+    /// stops naming it.
     pub rrr_iterations: usize,
 }
 
@@ -32,7 +44,7 @@ impl Default for RouteConfig {
         RouteConfig {
             tile_um: 8.0,
             capacity: 14,
-            rrr_iterations: 2,
+            rrr_iterations: 0,
         }
     }
 }
@@ -404,13 +416,13 @@ pub(crate) fn net_pins(netlist: &Netlist, placement: &Placement, net: NetId) -> 
 
 /// Runs global routing over all multi-pin nets.
 ///
-/// Thin wrapper over [`crate::router::Router`]: the initial pass routes
-/// every net independently on an empty grid (a pure function of the
-/// net's pin list, which is what makes per-net caching and the
-/// incremental [`crate::router::Router::reroute_nets`] path exact), and
-/// congestion is then resolved by sequential rip-up & reroute in net-id
-/// order against the live grid, so later victims see earlier victims'
-/// new paths and the iteration converges deterministically.
+/// Thin wrapper over [`crate::router::Router`]: every net is routed
+/// independently on an empty grid (a pure function of the net's pin
+/// list, which is what makes per-net caching and the incremental
+/// [`crate::router::Router::reroute_nets`] path exact). With
+/// [`RouteConfig::rrr_iterations`] above 0, congestion is then resolved
+/// by sequential rip-up & reroute in net-id order against the live grid,
+/// so later victims see earlier victims' new paths.
 pub fn route_global(
     netlist: &Netlist,
     lib: &Library,
@@ -425,6 +437,7 @@ pub fn route_global(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
     use smt_base::rng::SplitMix64;
     use smt_place::{place, PlacerConfig};
 
@@ -647,14 +660,20 @@ mod tests {
         let lib = Library::industrial_130nm();
         let n = chain(&lib, 60);
         let p = place(&n, &lib, &PlacerConfig::default());
-        let gr = route_global(
-            &n,
-            &lib,
-            &p,
-            &RouteConfig {
-                capacity: 1,
-                ..RouteConfig::default()
-            },
+        let cfg = RouteConfig {
+            capacity: 1,
+            rrr_iterations: 2,
+            ..RouteConfig::default()
+        };
+        let gr = route_global(&n, &lib, &p, &cfg);
+        let once = RouteConfig {
+            rrr_iterations: 0,
+            ..cfg.clone()
+        };
+        assert_ne!(
+            Router::route(&n, &lib, &p, &cfg, 0).digest(),
+            Router::route(&n, &lib, &p, &once, 0).digest(),
+            "rip-up & reroute must change the routes it is tested on"
         );
         // Every multi-pin net still gets a length.
         for (id, net) in n.nets() {

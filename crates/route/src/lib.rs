@@ -3,8 +3,10 @@
 //! Routing-stage substrates for the Fig. 4 flow:
 //!
 //! * [`steiner`] — rectilinear Steiner trees per net;
-//! * [`global`] — congestion-aware grid global routing (maze search with
-//!   rip-up & reroute) producing per-net routed lengths;
+//! * [`global`] — grid global routing producing per-net routed lengths:
+//!   each net is routed once by maze search on the empty grid, and
+//!   overflow is reported rather than resolved (rip-up & reroute is
+//!   opt-in through `RouteConfig::rrr_iterations`);
 //! * [`router`] — the incremental routing session behind it: cached
 //!   per-net base routes, fingerprint-revalidated `reroute_nets`, and a
 //!   `full_route_runs()` reuse counter;

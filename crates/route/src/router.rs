@@ -15,13 +15,17 @@
 //!    its ordered pin list, fingerprinted with [`Fnv64`]; nets therefore
 //!    never invalidate each other and the pass parallelises over nets
 //!    with no ordering effects.
-//! 2. **Congestion resolution** — the grid is the sum of all base paths
-//!    (commutative, so worker-count invariant). Rip-up & reroute then
-//!    walks overflowing nets strictly in net-id order against the live
-//!    grid — sequential so the iteration converges rather than
-//!    oscillates, and re-derived from the base routes on every refresh
-//!    so identical inputs produce identical routes regardless of which
-//!    nets were cached.
+//! 2. **Congestion** — the grid is the sum of all base paths
+//!    (commutative, so worker-count invariant). By default
+//!    ([`RouteConfig::rrr_iterations`] = 0) the base routes are the
+//!    result and the grid's overflow is reported, not resolved, so a
+//!    refresh costs only the base routes of the stale nets.
+//! 3. **Rip-up & reroute (opt-in)** — with `rrr_iterations` above 0,
+//!    overflowing nets are rerouted strictly in net-id order against the
+//!    live grid: sequential, so later victims see earlier victims' new
+//!    paths, and re-derived from the base routes on every refresh, so
+//!    identical inputs produce identical routes regardless of which nets
+//!    were cached.
 //!
 //! Because the full pass and the incremental pass share this exact code
 //! path, an incremental refresh is bit-identical to routing the same
@@ -185,7 +189,8 @@ impl Router {
     /// [`Router::refresh`], and so the flow, passes — every net's pin
     /// fingerprint is recomputed and compared
     /// with the cached one; stale nets get a fresh base route in
-    /// parallel and congestion resolution reruns over the full design.
+    /// parallel. With rip-up & reroute on, congestion resolution then
+    /// reruns over the full design.
     /// `Some(set)` checks only `set` (plus any nets created since the
     /// last pass), so it is only sound when `set` covers every net whose
     /// pins moved or rebound.
@@ -531,9 +536,19 @@ mod tests {
         let p = place(&n, &lib, &PlacerConfig::default());
         let cfg = RouteConfig {
             capacity: 2,
+            rrr_iterations: 2,
             ..RouteConfig::default()
         };
         let d1 = Router::route(&n, &lib, &p, &cfg, 1).digest();
+        let once = RouteConfig {
+            rrr_iterations: 0,
+            ..cfg.clone()
+        };
+        assert_ne!(
+            Router::route(&n, &lib, &p, &once, 1).digest(),
+            d1,
+            "rip-up & reroute must change the routes it is tested on"
+        );
         for workers in [2, 4, 8] {
             assert_eq!(Router::route(&n, &lib, &p, &cfg, workers).digest(), d1);
         }

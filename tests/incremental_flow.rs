@@ -293,7 +293,12 @@ fn reroute_fanout_is_worker_count_invariant() {
     let l = lib();
     let n = circuit_b_netlist(&l, 4);
     let p = place(&n, &l, &PlacerConfig::default());
-    let cfg = RouteConfig::default();
+    // Rip-up & reroute is the sequential part of a refresh, so the fan-out
+    // is checked with it on.
+    let cfg = RouteConfig {
+        rrr_iterations: 2,
+        ..RouteConfig::default()
+    };
     let base = Router::route(&n, &l, &p, &cfg, 1);
 
     // Shift a couple dozen instances; their incident nets form the
@@ -326,5 +331,14 @@ fn reroute_fanout_is_worker_count_invariant() {
         Router::route(&n, &l, &moved, &cfg, 1).digest(),
         reference,
         "incremental re-route must match a from-scratch pass"
+    );
+    let once = RouteConfig {
+        rrr_iterations: 0,
+        ..cfg
+    };
+    assert_ne!(
+        Router::route(&n, &l, &moved, &once, 1).digest(),
+        reference,
+        "rip-up & reroute must change the routes it is tested on"
     );
 }
