@@ -36,6 +36,14 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Advances the generator past `k` outputs in O(1): the state is a
+    /// Weyl counter, so this equals `k` calls of [`SplitMix64::next_u64`].
+    pub fn skip(&mut self, k: u64) {
+        self.state = self
+            .state
+            .wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    }
+
     /// Uniform value in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits.
@@ -95,6 +103,24 @@ mod tests {
         let mut a = SplitMix64::new(1);
         let mut b = SplitMix64::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn skip_equals_that_many_draws() {
+        // The last seed sits just below `u64::MAX`, so the first state
+        // addition wraps.
+        for seed in [0, 42, u64::MAX - 5] {
+            for k in [0u64, 1, 2, 64, 1_000_000] {
+                let mut skipped = SplitMix64::new(seed);
+                skipped.skip(k);
+                let mut stepped = SplitMix64::new(seed);
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                assert_eq!(skipped, stepped, "seed {seed} k {k}");
+                assert_eq!(skipped.next_u64(), stepped.next_u64(), "seed {seed} k {k}");
+            }
+        }
     }
 
     #[test]

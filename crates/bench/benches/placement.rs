@@ -15,13 +15,21 @@
 //! placement wall"), so the share itself is gated (`better: lower`):
 //! if placement grows back toward dominating the flow, the gate fails.
 //!
+//! Finally records **`placement_scaling`**: single-thread
+//! (`threads = 1`) placement time per cell of a 20,000-gate
+//! `random_logic` design over that of a 2,000-gate one, both in the
+//! perfbench `scale_random_8k` shape (`ffs = gates / 40`, 48 inputs,
+//! window 128, seed 8000). Linear placement reads 1.0; the gate
+//! (`better: lower`) catches FM or annealing turning superlinear again.
+//!
 //! ```text
 //! cargo bench -p smt-bench --bench placement
 //! ```
 
 use smt_bench::harness::Harness;
 use smt_cells::library::Library;
-use smt_circuits::families::{generate, standard_suite, SuiteScale};
+use smt_circuits::families::{generate, standard_suite, FamilyConfig, SuiteScale};
+use smt_circuits::gen::RandomLogicConfig;
 use smt_core::engine::{FlowConfig, StageId, Technique};
 use smt_core::suite::WorkloadSuite;
 use smt_place::{Placer, PlacerConfig};
@@ -84,5 +92,38 @@ fn main() {
         total
     );
     h.metric("placement_stage_share", share);
+
+    // Scaling: single-thread time per cell, 20k gates over 2k gates.
+    // Each sample places the small design ten times, so both samples
+    // run for about as long and host noise averages out alike.
+    let mut per_cell = Vec::new();
+    let mut g = h.group("placement_scaling");
+    g.sample_size(3);
+    for (gates, reps) in [(2_000, 10), (20_000, 1)] {
+        let design = FamilyConfig::RandomLogic(RandomLogicConfig {
+            gates,
+            ffs: gates / 40,
+            inputs: 48,
+            window: 128,
+            seed: 8000,
+        });
+        let netlist = generate(&lib, &design).expect("random_logic config is valid");
+        let stats = g.bench(&format!("random_{gates}_threads1_x{reps}"), || {
+            (0..reps)
+                .map(|_| {
+                    Placer::with_threads(&netlist, &lib, &config, 1)
+                        .expect("default placer config is valid")
+                        .placement()
+                        .hpwl(&netlist)
+                })
+                .sum::<f64>()
+        });
+        let cells = (reps * netlist.num_instances()) as f64;
+        per_cell.push(stats.median.as_secs_f64() / cells);
+    }
+    drop(g);
+    let scaling = per_cell[1] / per_cell[0].max(1e-12);
+    println!("placement scaling: {scaling:.2}x per-cell time at 10x the gates");
+    h.metric("placement_scaling", scaling);
     h.finish();
 }

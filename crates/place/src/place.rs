@@ -354,7 +354,9 @@ impl Placer {
     /// so possibly its footprint) changed via `Netlist::replace_cell`:
     /// re-packs only the row holding `inst`, leaving every other row
     /// untouched. An unplaced instance is first dropped at the die
-    /// centre. O(row) — never a full re-place.
+    /// centre. Never a full re-place, but the repack finds the row's
+    /// cells by filtering every netlist instance, so a call costs
+    /// O(instances), not O(row).
     pub fn replace_cell(&mut self, netlist: &Netlist, lib: &Library, inst: InstId) {
         if self.placement.try_loc(inst).is_none() {
             let c = self.placement.die.center();
@@ -366,7 +368,7 @@ impl Placer {
     }
 
     /// [`Placer::replace_cell`] for a batch: each touched row is
-    /// re-packed once, in ascending row order.
+    /// re-packed once, in ascending row order, at O(instances) per row.
     pub fn replace_cells(&mut self, netlist: &Netlist, lib: &Library, insts: &[InstId]) {
         let mut rows: Vec<u64> = Vec::new();
         for &inst in insts {
