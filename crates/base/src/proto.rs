@@ -221,7 +221,7 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
 pub struct Request {
     /// Client-chosen correlation id, echoed back verbatim.
     pub id: u64,
-    /// Method name (`"flow"`, `"suite"`, `"shutdown"`, ...).
+    /// Method name (`"flow"`, `"lint"`, `"shutdown"`, ...).
     pub method: String,
     /// Method parameters; `Json::Null` when none were given.
     pub params: Json,

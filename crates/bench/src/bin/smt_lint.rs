@@ -29,6 +29,7 @@
 use smt_base::json::Json;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale};
+use smt_core::engine::lint_policy;
 use smt_netlist::check::{analyze_with_threads, LintPolicy, LintReport, RuleId, Severity, Waiver};
 use smt_netlist::netlist::Netlist;
 use smt_synth::snl;
@@ -65,13 +66,7 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown scale `{other}`")),
                 })
             }
-            "--policy" => {
-                o.policy = match value("--policy")?.as_str() {
-                    "signoff" => LintPolicy::signoff(),
-                    "structural" => LintPolicy::structural(),
-                    stage => LintPolicy::for_stage(stage),
-                }
-            }
+            "--policy" => o.policy = lint_policy(&value("--policy")?)?,
             "--threads" | "--jobs" => {
                 o.threads = value(&arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
             }

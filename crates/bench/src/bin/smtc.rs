@@ -7,18 +7,15 @@
 //!   ping
 //!   status
 //!   shutdown
-//!   register-worker SPEC                     tcp:HOST:PORT or spawn:PATH
 //!   flow DESIGN [--scale S] [--technique T] [--corners] [--session NAME]
 //!   eco DESIGN --hold-rounds N [flow opts]
 //!   vth-swap DESIGN [--max-high-fraction F] [--slack-margin-ps PS] [flow opts]
 //!   signoff DESIGN --corners-set typical|slow-typ-fast [flow opts]
-//!   suite [--scale S] [--technique T] [--corners] [--equiv-cycles N]
-//!         [--shards N] [--worker SPEC]... [--no-local-fallback]
-//!   raw METHOD PARAMS-JSON                   escape hatch
+//!   raw METHOD PARAMS-JSON                   escape hatch (e.g. `lint`)
 //! ```
 //!
-//! Exits 0 on a successful reply, 1 on a remote error or a suite reply
-//! with failing designs, 2 on usage errors.
+//! Exits 0 on a successful reply, 1 on a remote error, 2 on usage
+//! errors.
 
 use smt_base::json::Json;
 use smt_serve::Client;
@@ -98,17 +95,9 @@ fn parse_num(name: &str, v: &str) -> Result<f64, String> {
     v.parse::<f64>().map_err(|e| format!("{name}: {e}"))
 }
 
-#[allow(clippy::too_many_lines)]
 fn build_request(verb: &str, rest: &[String]) -> Result<(String, Json), String> {
     match verb {
         "ping" | "status" | "shutdown" => Ok((verb.to_owned(), obj(vec![]))),
-        "register-worker" => {
-            let spec = rest.first().ok_or("register-worker needs a worker SPEC")?;
-            Ok((
-                "register-worker".to_owned(),
-                obj(vec![("worker", Json::Str(spec.clone()))]),
-            ))
-        }
         "flow" => {
             // No verb-specific flags; the shared parser takes the
             // positional DESIGN and rejects unknown flags itself.
@@ -176,56 +165,6 @@ fn build_request(verb: &str, rest: &[String]) -> Result<(String, Json), String> 
             );
             Ok(("signoff".to_owned(), Json::Obj(m)))
         }
-        "suite" => {
-            let mut m = BTreeMap::new();
-            let mut workers = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let value = |name: &str, it: &mut std::slice::Iter<'_, String>| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("`{name}` needs a value"))
-                };
-                match arg.as_str() {
-                    "--scale" => {
-                        m.insert("scale".to_owned(), Json::Str(value("--scale", &mut it)?));
-                    }
-                    "--technique" => {
-                        m.insert(
-                            "technique".to_owned(),
-                            Json::Str(value("--technique", &mut it)?),
-                        );
-                    }
-                    "--corners" => {
-                        m.insert("corners".to_owned(), Json::Bool(true));
-                    }
-                    "--equiv-cycles" => {
-                        m.insert(
-                            "equiv_cycles".to_owned(),
-                            Json::Num(parse_num(
-                                "--equiv-cycles",
-                                &value("--equiv-cycles", &mut it)?,
-                            )?),
-                        );
-                    }
-                    "--shards" => {
-                        m.insert(
-                            "shards".to_owned(),
-                            Json::Num(parse_num("--shards", &value("--shards", &mut it)?)?),
-                        );
-                    }
-                    "--worker" => workers.push(Json::Str(value("--worker", &mut it)?)),
-                    "--no-local-fallback" => {
-                        m.insert("local_fallback".to_owned(), Json::Bool(false));
-                    }
-                    other => return Err(format!("unexpected argument `{other}`")),
-                }
-            }
-            if !workers.is_empty() {
-                m.insert("workers".to_owned(), Json::Arr(workers));
-            }
-            Ok(("suite".to_owned(), Json::Obj(m)))
-        }
         "raw" => {
             let method = rest.first().ok_or("raw needs METHOD PARAMS-JSON")?;
             let params = rest.get(1).ok_or("raw needs METHOD PARAMS-JSON")?;
@@ -267,7 +206,7 @@ fn main() {
         fail(
             2,
             "usage: smtc [--addr HOST:PORT] [--timeout-ms N] \
-             ping|status|shutdown|register-worker|flow|eco|vth-swap|signoff|suite|raw ...",
+             ping|status|shutdown|flow|eco|vth-swap|signoff|raw ...",
         );
     };
     let (method, params) =
@@ -276,13 +215,7 @@ fn main() {
     let mut client = Client::connect(&addr, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(1, &format!("connecting {addr}: {e}")));
     match client.call_timeout(&method, params, timeout) {
-        Ok(reply) => {
-            println!("{}", reply.render());
-            // A suite that ran but failed designs is a failed check.
-            if reply.get("passed").and_then(Json::as_bool) == Some(false) {
-                std::process::exit(1);
-            }
-        }
+        Ok(reply) => println!("{}", reply.render()),
         Err(e) => fail(1, &format!("`{method}`: {e}")),
     }
 }

@@ -9,11 +9,8 @@
 //!   --addr-file FILE        also write the bound address to FILE
 //!                           (useful with `--listen 127.0.0.1:0`)
 //!   --cache-dir DIR         design-cache location [target/suite-cache]
-//!   --jobs N                worker-pool cap for suites/sweeps (0 = cores)
-//!   --worker SPEC           register a shard worker at boot (repeatable):
-//!                           `tcp:HOST:PORT` or `spawn:/path/to/suite`
-//!   --worker-timeout-ms N   per-shard dispatch timeout [600000]
-//!   --drain-timeout-ms N    shutdown drain bound       [30000]
+//!   --jobs N                worker-pool cap for sweeps (0 = cores)
+//!   --drain-timeout-ms N    shutdown drain bound [30000]
 //! ```
 //!
 //! The process exits 0 after a clean drain: in-flight requests finish
@@ -21,7 +18,7 @@
 //! `draining` error, and nothing is accepted afterwards.
 
 use smt_serve::daemon::signals;
-use smt_serve::{Daemon, DaemonConfig, WorkerSpec};
+use smt_serve::{Daemon, DaemonConfig};
 use std::time::Duration;
 
 fn parse_args() -> Result<(DaemonConfig, Option<String>), String> {
@@ -40,11 +37,6 @@ fn parse_args() -> Result<(DaemonConfig, Option<String>), String> {
             "--jobs" | "--threads" => {
                 config.threads = value(&arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
             }
-            "--worker" => config.workers.push(WorkerSpec::parse(&value("--worker")?)?),
-            "--worker-timeout-ms" => {
-                config.worker_timeout =
-                    Duration::from_millis(value(&arg)?.parse().map_err(|e| format!("{arg}: {e}"))?)
-            }
             "--drain-timeout-ms" => {
                 config.drain_timeout =
                     Duration::from_millis(value(&arg)?.parse().map_err(|e| format!("{arg}: {e}"))?)
@@ -53,7 +45,7 @@ fn parse_args() -> Result<(DaemonConfig, Option<String>), String> {
                 println!(
                     "smtd: resident flow daemon\n\
                      --listen ADDR | --addr-file FILE | --cache-dir DIR | --jobs N |\n\
-                     --worker tcp:HOST:PORT|spawn:PATH | --worker-timeout-ms N | --drain-timeout-ms N"
+                     --drain-timeout-ms N"
                 );
                 std::process::exit(0);
             }

@@ -21,8 +21,8 @@
 //!                                  form; with --no-cache, the raw generator
 //!                                  output)
 //!   --no-generated                 run only the --snl ingested designs
-//!   --shard K/N                    run only shard K of N (1-based)
-//!   --shard-by gates|index         shard assignment strategy [gates]
+//!   --shard K/N                    run only shard K of N (1-based;
+//!                                  gate-balanced plan)
 //!   --json FILE                    write the report as JSON
 //!   --merge FILE...                merge shard JSON reports instead of running
 //!   --cache-dir DIR                design-cache location [target/suite-cache]
@@ -37,18 +37,15 @@
 //! `--merge`, when the merged report is missing shards). Shard JSON is
 //! digest-verified on load — a corrupt or hand-edited report is
 //! rejected rather than silently merged — and the merged digest is
-//! printed for comparison against the service's coordinator path. The `large`
-//! scale is the ROADMAP-level stress run: its pipeline design exceeds
-//! 50k gates.
+//! printed, equal to the unsharded run's. The `large` scale is the
+//! ROADMAP-level stress run: its pipeline design exceeds 50k gates.
 
 use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
 use smt_circuits::families::{generate, standard_suite, SuiteScale, Workload};
 use smt_core::cache::{snl_text_fingerprint, DesignCache, DEFAULT_DIR};
 use smt_core::engine::{FlowConfig, Technique};
-use smt_core::suite::{
-    plan_shards, render_suite, suite_fingerprint, ShardStrategy, SuiteReport, WorkloadSuite,
-};
+use smt_core::suite::{plan_shards, render_suite, suite_fingerprint, SuiteReport, WorkloadSuite};
 use smt_netlist::netlist::Netlist;
 use smt_synth::snl;
 use smt_synth::SynthOptions;
@@ -63,7 +60,6 @@ struct Options {
     write_snl: Option<String>,
     generated: bool,
     shard: Option<(usize, usize)>,
-    shard_by: ShardStrategy,
     json: Option<String>,
     merge: Vec<String>,
     cache_dir: String,
@@ -93,7 +89,6 @@ fn parse_args() -> Result<Options, String> {
         write_snl: None,
         generated: true,
         shard: None,
-        shard_by: ShardStrategy::ByGates,
         json: None,
         merge: Vec::new(),
         cache_dir: DEFAULT_DIR.to_owned(),
@@ -132,13 +127,6 @@ fn parse_args() -> Result<Options, String> {
             "--write-snl" => o.write_snl = Some(value("--write-snl")?),
             "--no-generated" => o.generated = false,
             "--shard" => o.shard = Some(parse_shard(&value("--shard")?)?),
-            "--shard-by" => {
-                o.shard_by = match value("--shard-by")?.as_str() {
-                    "index" => ShardStrategy::ByIndex,
-                    "gates" => ShardStrategy::ByGates,
-                    other => return Err(format!("unknown shard strategy `{other}`")),
-                }
-            }
             "--json" => o.json = Some(value("--json")?),
             "--merge" => {
                 // `--merge` consumes every remaining argument as a shard
@@ -297,7 +285,7 @@ fn main() {
     // this shard are never generated or parsed.
     let (shard_index, shard_count) = o.shard.map_or((1, 1), |(k, n)| (k, n));
     let weights: Vec<f64> = entries.iter().map(Entry::weight).collect();
-    let plan = plan_shards(&weights, shard_count, o.shard_by);
+    let plan = plan_shards(&weights, shard_count);
     let mine = plan.shard(shard_index - 1);
 
     let mut cache = if o.use_cache {

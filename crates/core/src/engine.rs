@@ -945,6 +945,30 @@ fn lint_gate(netlist: &Netlist, lib: &Library, stage: StageId) -> Result<(), Flo
     })
 }
 
+/// Resolves a lint policy name, as `smt-lint --policy` and the `smtd`
+/// `lint` verb accept it: `signoff`, `structural`, or a [`StageId::key`]
+/// (that stage's gate policy, [`LintPolicy::for_stage`]).
+///
+/// # Errors
+///
+/// A message listing every accepted name, so a misspelled policy is
+/// refused instead of silently dropping rules.
+pub fn lint_policy(name: &str) -> Result<LintPolicy, String> {
+    match name {
+        "signoff" => Ok(LintPolicy::signoff()),
+        "structural" => Ok(LintPolicy::structural()),
+        key => StageId::from_key(key)
+            .map(|_| LintPolicy::for_stage(key))
+            .ok_or_else(|| {
+                let stages: Vec<&str> = StageId::ALL.iter().map(|s| s.key()).collect();
+                format!(
+                    "unknown lint policy `{name}` (expected signoff, structural, or a stage key: {})",
+                    stages.join(", ")
+                )
+            }),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
@@ -1955,4 +1979,32 @@ pub fn run_three_techniques(
     let conv = outcomes.next().expect("two outcomes").result?;
     let imp = outcomes.next().expect("two outcomes").result?;
     Ok([dual, conv, imp])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lint_policy_accepts_exactly_the_documented_names() {
+        assert_eq!(lint_policy("signoff"), Ok(LintPolicy::signoff()));
+        assert_eq!(lint_policy("structural"), Ok(LintPolicy::structural()));
+        for stage in StageId::ALL {
+            assert_eq!(
+                lint_policy(stage.key()),
+                Ok(LintPolicy::for_stage(stage.key())),
+                "{stage:?}"
+            );
+        }
+        for bad in ["sigoff", "", "Signoff", "place"] {
+            let err = lint_policy(bad).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            for name in ["signoff", "structural"]
+                .into_iter()
+                .chain(StageId::ALL.iter().map(|s| s.key()))
+            {
+                assert!(err.contains(name), "`{name}` missing from: {err}");
+            }
+        }
+    }
 }

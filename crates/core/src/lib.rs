@@ -66,8 +66,8 @@ pub use cluster::{construct_switch_structure, ClusterConfig, SwitchStructureRepo
 pub use crosstalk::{analyze_crosstalk, worst_noise, CrosstalkConfig, CrosstalkReport};
 pub use dualvth::{assign_dual_vth, assign_dual_vth_at_corners, DualVthConfig, DualVthReport};
 pub use engine::{
-    run_sweep, Checkpoint, CornerSignoff, DesignState, FlowContext, FlowEngine, FlowError,
-    Observer, Stage, StageId, StageLogger, StageMetrics, SweepOutcome, SweepRun,
+    lint_policy, run_sweep, Checkpoint, CornerSignoff, DesignState, FlowContext, FlowEngine,
+    FlowError, Observer, Stage, StageId, StageLogger, StageMetrics, SweepOutcome, SweepRun,
 };
 pub use flow::{
     run_flow, run_flow_netlist, run_three_techniques, FlowConfig, FlowResult, Technique,
@@ -78,7 +78,7 @@ pub use session::{
     SessionRegistry, SessionStats, WhatIf, WhatIfRun,
 };
 pub use suite::{
-    plan_shards, render_suite, suite_fingerprint, MergeError, ShardPlan, ShardStrategy,
-    StageProfile, StageSample, SuiteOutcome, SuiteReport, SuiteRow, WorkloadSuite,
+    plan_shards, render_suite, suite_fingerprint, MergeError, ShardPlan, StageProfile, StageSample,
+    SuiteOutcome, SuiteReport, SuiteRow, WorkloadSuite,
 };
 pub use verify::{mirror_control_ports, verify, VerifyReport};

@@ -15,7 +15,7 @@
 //! The runtime splits into three pure pieces so CI can scale it out:
 //!
 //! * [`WorkloadSuite::plan`] deterministically assigns designs to `N`
-//!   shards (round-robin by index, or greedy gate-balanced);
+//!   shards, greedily balancing their gate counts;
 //! * [`WorkloadSuite::run_shard`] runs one shard's designs (ordinals
 //!   keep their position in the full suite);
 //! * [`SuiteReport::merge`] recombines shard reports — commutative,
@@ -82,19 +82,6 @@ pub struct SuiteDesign {
     pub netlist: Netlist,
 }
 
-/// How [`WorkloadSuite::plan`] assigns designs to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Round-robin on the design index — trivially deterministic, blind
-    /// to design size.
-    ByIndex,
-    /// Greedy longest-processing-time on the gate weight: designs are
-    /// placed largest-first onto the currently lightest shard, so a
-    /// 50k-gate design does not land next to another one. Deterministic
-    /// (ties break on the lower index / lower shard).
-    ByGates,
-}
-
 /// A deterministic assignment of design indices to shards. Every index
 /// appears in exactly one shard; within a shard, indices are ascending
 /// (suite push order).
@@ -123,34 +110,28 @@ impl ShardPlan {
 /// estimates): the planning half of the suite runtime, usable *before*
 /// any netlist exists (the `suite` bin plans on
 /// `FamilyConfig::estimated_gates` so non-shard designs are never
-/// generated). `shards == 0` is treated as 1.
-pub fn plan_shards(weights: &[f64], shards: usize, strategy: ShardStrategy) -> ShardPlan {
+/// generated). Greedy longest-processing-time: designs are placed
+/// largest-first onto the currently lightest shard, so a 50k-gate
+/// design does not land next to another one. Deterministic (ties break
+/// on the lower index / lower shard). `shards == 0` is treated as 1.
+pub fn plan_shards(weights: &[f64], shards: usize) -> ShardPlan {
     let n = shards.max(1);
     let mut assign: Vec<Vec<usize>> = vec![Vec::new(); n];
-    match strategy {
-        ShardStrategy::ByIndex => {
-            for i in 0..weights.len() {
-                assign[i % n].push(i);
-            }
-        }
-        ShardStrategy::ByGates => {
-            let mut order: Vec<usize> = (0..weights.len()).collect();
-            order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
-            let mut load = vec![0.0f64; n];
-            for i in order {
-                let lightest = load
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(k, _)| k)
-                    .expect("at least one shard");
-                assign[lightest].push(i);
-                load[lightest] += weights[i];
-            }
-            for shard in &mut assign {
-                shard.sort_unstable();
-            }
-        }
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
+    let mut load = vec![0.0f64; n];
+    for i in order {
+        let lightest = load
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(k, _)| k)
+            .expect("at least one shard");
+        assign[lightest].push(i);
+        load[lightest] += weights[i];
+    }
+    for shard in &mut assign {
+        shard.sort_unstable();
     }
     ShardPlan { shards: assign }
 }
@@ -256,13 +237,13 @@ impl WorkloadSuite {
     /// Deterministically assigns the queued designs to `shards` shards,
     /// weighting by each design's input gate count. Pure: no flow runs,
     /// same plan for the same queue on every call and machine.
-    pub fn plan(&self, shards: usize, strategy: ShardStrategy) -> ShardPlan {
+    pub fn plan(&self, shards: usize) -> ShardPlan {
         let weights: Vec<f64> = self
             .designs
             .iter()
             .map(|d| d.netlist.num_instances() as f64)
             .collect();
-        plan_shards(&weights, shards, strategy)
+        plan_shards(&weights, shards)
     }
 
     /// Runs every queued design — the single-shard special case of
@@ -401,9 +382,9 @@ impl WorkloadSuite {
 
 /// The identity of a full design list, which every shard of one suite
 /// passes to [`WorkloadSuite::with_suite_fingerprint`]: per entry
-/// `(name, family, config fingerprint)` into one [`Fnv64`]. The `suite`
-/// bin and the daemon's suite spec both compute it here, so shard
-/// reports from either executor merge.
+/// `(name, family, config fingerprint)` into one [`Fnv64`]. Every
+/// `suite --shard K/N` process computes it from the same full list, so
+/// their reports merge.
 pub fn suite_fingerprint<'a>(entries: impl IntoIterator<Item = (&'a str, &'a str, u64)>) -> u64 {
     let mut h = Fnv64::new();
     for (name, family, config_fp) in entries {
@@ -915,9 +896,8 @@ impl SuiteReport {
         if timing {
             // The report's own digest rides along (outside the digested
             // content — `digest()` hashes the `timing == false` form) so
-            // consumers of a shard file or a daemon reply can verify the
-            // deterministic content survived transport. `from_json`
-            // checks it on load.
+            // consumers of a shard file can verify the deterministic
+            // content survived transport. `from_json` checks it on load.
             top.insert(
                 "digest".to_owned(),
                 Json::Str(format!("{:016x}", self.digest())),
@@ -1603,17 +1583,22 @@ mod tests {
     #[test]
     fn plans_are_deterministic_and_exhaustive() {
         let weights = [10.0, 1.0, 7.0, 1.0, 10.0, 2.0];
-        for strategy in [ShardStrategy::ByIndex, ShardStrategy::ByGates] {
-            let plan = plan_shards(&weights, 2, strategy);
-            assert_eq!(plan, plan_shards(&weights, 2, strategy));
+        for shards in [2, 3] {
+            let plan = plan_shards(&weights, shards);
+            assert_eq!(plan, plan_shards(&weights, shards));
+            assert_eq!(plan.num_shards(), shards);
             let mut seen: Vec<usize> = (0..plan.num_shards())
                 .flat_map(|k| plan.shard(k).to_vec())
                 .collect();
             seen.sort_unstable();
-            assert_eq!(seen, (0..weights.len()).collect::<Vec<_>>(), "{strategy:?}");
+            assert_eq!(
+                seen,
+                (0..weights.len()).collect::<Vec<_>>(),
+                "{shards} shards"
+            );
         }
         // LPT keeps the two heavy designs apart.
-        let plan = plan_shards(&weights, 2, ShardStrategy::ByGates);
+        let plan = plan_shards(&weights, 2);
         let shard_of = |i: usize| (0..2).find(|&k| plan.shard(k).contains(&i)).unwrap();
         assert_ne!(shard_of(0), shard_of(4), "{plan:?}");
         // Every shard's indices are ascending.
@@ -1623,7 +1608,7 @@ mod tests {
         }
         // More shards than designs leaves the tail empty rather than
         // panicking.
-        let wide = plan_shards(&[1.0], 3, ShardStrategy::ByGates);
+        let wide = plan_shards(&[1.0], 3);
         assert_eq!(wide.num_shards(), 3);
         assert_eq!(wide.shard(0), &[0]);
         assert!(wide.shard(1).is_empty() && wide.shard(2).is_empty());
@@ -1735,8 +1720,8 @@ mod tests {
         assert_eq!(back.cache, report.cache);
 
         // Tampering with digested content after serialisation is caught
-        // on load — this is what `suite --merge` and the daemon's shard
-        // coordinator rely on to refuse corrupt shard files.
+        // on load — this is what `suite --merge` relies on to refuse
+        // corrupt shard files.
         let mut tampered = json.clone();
         if let Json::Obj(top) = &mut tampered {
             let rows = top.get_mut("rows").unwrap();

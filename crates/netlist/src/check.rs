@@ -478,7 +478,8 @@ impl LintPolicy {
     /// (`StageId::key()` in `smt-core`; unknown keys get the
     /// conservative [`LintPolicy::structural`] set). From
     /// `insert_holders` onward the initial switch exists, so the
-    /// MT-wiring rules arm.
+    /// MT-wiring rules arm. Policy names from users go through
+    /// `smt_core::engine::lint_policy`, which rejects unknown names.
     pub fn for_stage(stage_key: &str) -> Self {
         match stage_key {
             "insert_holders" | "cluster_switches" | "cts" | "route_extract" | "reopt_switches"

@@ -1,6 +1,6 @@
 //! A small blocking client for the `smtd` line protocol, used by the
-//! `smtc` CLI, the shard coordinator's worker dispatch, and the
-//! loopback tests.
+//! `smtc` CLI, the benchmark's service workload, and the loopback
+//! tests.
 
 use smt_base::json::Json;
 use smt_base::proto::{write_frame, FrameReader, Request, Response, WireError};
@@ -12,8 +12,7 @@ use std::time::Duration;
 #[derive(Debug)]
 pub enum CallError {
     /// Could not connect, or the connection broke mid-call (including
-    /// a response-timeout — the worker-death signal the coordinator
-    /// retries on).
+    /// a response timeout).
     Io(String),
     /// The peer answered with bytes that were not a valid response
     /// frame.
@@ -75,8 +74,7 @@ impl Client {
 
     /// Sends one request and blocks for its response, failing if no
     /// full response frame arrives within `timeout` (`None` = wait
-    /// forever). A timeout or mid-frame disconnect is [`CallError::Io`]
-    /// — the retryable class.
+    /// forever). A timeout or mid-frame disconnect is [`CallError::Io`].
     ///
     /// # Errors
     ///
@@ -92,7 +90,7 @@ impl Client {
         let request = Request::new(id, method, params);
         write_frame(&mut self.writer, &request.to_json())
             .map_err(|e| CallError::Io(format!("sending `{method}`: {e}")))?;
-        // Poll in short slices so a hung worker trips the deadline even
+        // Poll in short slices so a hung daemon trips the deadline even
         // though the socket stays open.
         let stream_timeout = Duration::from_millis(100);
         self.reader

@@ -1,6 +1,6 @@
 //! The resident `smtd` daemon: a thread-per-connection TCP server over
 //! the [`smt_base::proto`] line protocol that keeps flow state warm
-//! between requests and doubles as the distributed shard coordinator.
+//! between requests.
 //!
 //! ## Warm state
 //!
@@ -9,8 +9,8 @@
 //! placed-and-clocked prefix [`Checkpoint`] and, after the first full
 //! flow, a signed-off finals checkpoint. A session is matched on the
 //! workload's config fingerprint, so only a cold open realises the
-//! design, through the on-disk [`DesignCache`] (canonical SNL form —
-//! every executor runs the same bytes). A warm `flow` request is
+//! design, through the on-disk [`DesignCache`] (canonical SNL form, the
+//! same bytes the `suite` bin runs). A warm `flow` request is
 //! therefore a read of the finals checkpoint: no design-cache read, no
 //! SNL parse, no checkpoint copy. It is bit-identical to the cold run
 //! (the response carries the outcome digest so clients can verify
@@ -36,10 +36,8 @@
 //! cancelled with a `draining` error, and the design cache needs no
 //! flush because every store is an atomic temp-file + rename. The
 //! process exits only after the drain completes, so CI never leaves
-//! orphaned workers or torn cache entries.
+//! an orphaned daemon or torn cache entries.
 
-use crate::client::{CallError, Client};
-use crate::spec::SuiteSpec;
 use smt_base::json::Json;
 use smt_base::par::panic_message;
 use smt_base::proto::{write_frame, FrameReader, Poll, Request, Response, WireError};
@@ -49,12 +47,12 @@ use smt_circuits::families::{generate, standard_suite, SuiteScale, Workload};
 use smt_core::cache::{CacheStats, DesignCache};
 use smt_core::config_io::JsonConfig;
 use smt_core::dualvth::DualVthConfig;
-use smt_core::engine::{Checkpoint, FlowConfig, SweepRun, Technique};
+use smt_core::engine::{lint_policy, Checkpoint, FlowConfig, SweepRun, Technique};
 use smt_core::session::{
     complete_flow, config_identity, finals_result, run_what_if, LibraryPool, Session,
     SessionRegistry, WhatIf,
 };
-use smt_core::suite::{ShardPlan, SuiteOutcome, SuiteReport};
+use smt_core::suite::SuiteOutcome;
 use smt_netlist::netlist::Netlist;
 use std::collections::BTreeMap;
 use std::io::BufWriter;
@@ -75,49 +73,6 @@ fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// A shard worker the coordinator can dispatch to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerSpec {
-    /// A remote `smtd` reachable at `host:port` (spec `tcp:host:port`).
-    Tcp(String),
-    /// A `suite` binary to spawn per shard with `--shard K/N --json`
-    /// (spec `spawn:/path/to/suite`).
-    Spawn(String),
-}
-
-impl WorkerSpec {
-    /// Parses `tcp:HOST:PORT` or `spawn:PATH`.
-    ///
-    /// # Errors
-    ///
-    /// Describes the expected forms.
-    pub fn parse(spec: &str) -> Result<WorkerSpec, String> {
-        if let Some(addr) = spec.strip_prefix("tcp:") {
-            if addr.rsplit_once(':').is_none() {
-                return Err(format!("worker `{spec}`: tcp wants HOST:PORT"));
-            }
-            return Ok(WorkerSpec::Tcp(addr.to_owned()));
-        }
-        if let Some(path) = spec.strip_prefix("spawn:") {
-            if path.is_empty() {
-                return Err(format!("worker `{spec}`: spawn wants a binary path"));
-            }
-            return Ok(WorkerSpec::Spawn(path.to_owned()));
-        }
-        Err(format!(
-            "worker `{spec}`: expected `tcp:HOST:PORT` or `spawn:/path/to/suite`"
-        ))
-    }
-
-    /// Display label used in replies and status output.
-    pub fn label(&self) -> String {
-        match self {
-            WorkerSpec::Tcp(addr) => format!("tcp:{addr}"),
-            WorkerSpec::Spawn(path) => format!("spawn:{path}"),
-        }
-    }
-}
-
 /// Daemon settings.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -125,15 +80,10 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Design-cache directory.
     pub cache_dir: PathBuf,
-    /// Worker-pool cap for suite/sweep fan-out (0 = all cores).
+    /// Worker-pool cap for `sweep` fan-out (0 = all cores).
     pub threads: usize,
-    /// Per-shard dispatch timeout before the coordinator declares a
-    /// worker dead and reassigns.
-    pub worker_timeout: Duration,
     /// How long `shutdown` waits for in-flight requests.
     pub drain_timeout: Duration,
-    /// Shard workers registered at boot (more can register at runtime).
-    pub workers: Vec<WorkerSpec>,
 }
 
 impl Default for DaemonConfig {
@@ -142,9 +92,7 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:0".to_owned(),
             cache_dir: PathBuf::from(smt_core::cache::DEFAULT_DIR),
             threads: 0,
-            worker_timeout: Duration::from_secs(600),
             drain_timeout: Duration::from_secs(30),
-            workers: Vec::new(),
         }
     }
 }
@@ -159,7 +107,6 @@ struct State {
     pool: Mutex<LibraryPool>,
     sessions: Mutex<SessionRegistry>,
     cache: Mutex<DesignCache>,
-    workers: Mutex<Vec<WorkerSpec>>,
     draining: AtomicBool,
     drain_started: Mutex<Option<Instant>>,
     inflight: AtomicUsize,
@@ -235,7 +182,6 @@ impl Daemon {
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
         let state = Arc::new(State {
-            workers: Mutex::new(config.workers.clone()),
             config,
             lib,
             pool: Mutex::new(LibraryPool::new()),
@@ -397,15 +343,12 @@ fn dispatch(state: &Arc<State>, method: &str, params: &Json) -> Result<Json, Wir
         "status" => Ok(status(state)),
         "flow" => flow(state, params),
         "vth-swap" | "eco" | "signoff" | "sweep" => what_if(state, method, params),
-        "suite" => suite(state, params),
         "lint" => lint(state, params),
-        "run_shard" => run_shard(state, params),
-        "register-worker" => register_worker(state, params),
         other => Err(WireError::new(
             "unknown-method",
             format!(
                 "unknown method `{other}` (expected ping | status | flow | vth-swap | eco | \
-                 signoff | sweep | suite | lint | run_shard | register-worker | shutdown)"
+                 signoff | sweep | lint | shutdown)"
             ),
         )),
     }
@@ -462,15 +405,6 @@ fn status(state: &Arc<State>) -> Json {
     m.insert(
         "cache".to_owned(),
         cache_stats_json(recover(&state.cache).stats()),
-    );
-    m.insert(
-        "workers".to_owned(),
-        Json::Arr(
-            recover(&state.workers)
-                .iter()
-                .map(|w| Json::Str(w.label()))
-                .collect(),
-        ),
     );
     Json::Obj(m)
 }
@@ -833,90 +767,15 @@ fn what_if(state: &Arc<State>, method: &str, params: &Json) -> Result<Json, Wire
 }
 
 // ---------------------------------------------------------------------------
-// Suite: worker side
+// Static analysis
 // ---------------------------------------------------------------------------
-
-fn run_shard(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
-    let spec = SuiteSpec::from_json(params).map_err(bad)?;
-    let shard = params
-        .get("shard")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("`run_shard` needs a numeric `shard`"))?;
-    let shards = params
-        .get("shards")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("`run_shard` needs a numeric `shards`"))?;
-    if shard >= shards {
-        return Err(bad(format!(
-            "shard {shard} out of range for {shards} shards"
-        )));
-    }
-    let workloads = spec.workloads();
-    let plan = spec.plan(&workloads, shards);
-    let report = execute_shard(state, &spec, &workloads, &plan, shard)
-        .map_err(|e| WireError::new("flow", e))?;
-    let mut m = BTreeMap::new();
-    m.insert("report".to_owned(), report.to_json());
-    Ok(Json::Obj(m))
-}
-
-/// Realises this shard's designs through the cache (under the cache
-/// lock) and runs them (outside it).
-fn execute_shard(
-    state: &Arc<State>,
-    spec: &SuiteSpec,
-    workloads: &[Workload],
-    plan: &ShardPlan,
-    shard: usize,
-) -> Result<SuiteReport, String> {
-    let (suite, delta) = {
-        let mut cache = recover(&state.cache);
-        let before = cache.stats();
-        let suite = spec.build_shard(
-            &state.lib,
-            &mut cache,
-            workloads,
-            state.config.threads,
-            plan.shard(shard),
-        )?;
-        (suite, cache_delta(before, cache.stats()))
-    };
-    let mut report = suite.run(&state.lib);
-    report.cache = Some(delta);
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Suite: coordinator side
-// ---------------------------------------------------------------------------
-
-fn register_worker(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
-    let spec = params
-        .get("worker")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("`register-worker` needs a string `worker`"))?;
-    let worker = WorkerSpec::parse(spec).map_err(bad)?;
-    let mut workers = recover(&state.workers);
-    if !workers.contains(&worker) {
-        workers.push(worker);
-    }
-    Ok(Json::Arr(
-        workers.iter().map(|w| Json::Str(w.label())).collect(),
-    ))
-}
-
-struct ShardRun {
-    shard: usize,
-    executor: String,
-    attempts: usize,
-    report: SuiteReport,
-}
 
 /// `lint`: static analysis of a suite design, served from the warm
 /// design cache. Params: `design` (required), `scale`
 /// (smoke|standard|large, default smoke), `policy` (a stage key or
-/// `signoff`/`structural`, default signoff), `threads` (default 0 = one
-/// per core; the report is bit-identical at any count). The response
+/// `signoff`/`structural`, default signoff; any other name is a
+/// `bad-request`), `threads` (default 0 = one per core; the report is
+/// bit-identical at any count). The response
 /// carries the severity tallies, the canonical diagnostic list and the
 /// report's FNV digest — the same digest `smt-lint` prints, so a remote
 /// answer is checkable against a local run.
@@ -928,9 +787,8 @@ fn lint(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
         .ok_or_else(|| bad("`design` is required"))?;
     let scale = parse_scale(params)?;
     let policy = match params.get("policy").and_then(Json::as_str) {
-        None | Some("signoff") => LintPolicy::signoff(),
-        Some("structural") => LintPolicy::structural(),
-        Some(stage) => LintPolicy::for_stage(stage),
+        None => LintPolicy::signoff(),
+        Some(name) => lint_policy(name).map_err(bad)?,
     };
     let threads = params.get("threads").and_then(Json::as_usize).unwrap_or(0);
     let workload = find_workload(design, scale)?;
@@ -973,206 +831,6 @@ fn lint(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
     m.insert("diagnostics".to_owned(), Json::Arr(diags));
     m.insert("cache".to_owned(), cache_stats_json(cache));
     Ok(Json::Obj(m))
-}
-
-fn suite(state: &Arc<State>, params: &Json) -> Result<Json, WireError> {
-    let t0 = Instant::now();
-    let spec = SuiteSpec::from_json(params).map_err(bad)?;
-    let workers: Vec<WorkerSpec> = {
-        let mut all = recover(&state.workers).clone();
-        if let Some(extra) = params.get("workers").and_then(Json::as_arr) {
-            for w in extra {
-                let w = w
-                    .as_str()
-                    .ok_or_else(|| bad("`workers` must be strings"))
-                    .and_then(|s| WorkerSpec::parse(s).map_err(bad))?;
-                if !all.contains(&w) {
-                    all.push(w);
-                }
-            }
-        }
-        all
-    };
-    let shards = params
-        .get("shards")
-        .and_then(Json::as_usize)
-        .unwrap_or_else(|| workers.len().max(1));
-    if shards == 0 {
-        return Err(bad("`shards` must be at least 1"));
-    }
-    let timeout = params
-        .get("timeout_ms")
-        .and_then(Json::as_u64)
-        .map_or(state.config.worker_timeout, Duration::from_millis);
-    let local_fallback = params
-        .get("local_fallback")
-        .and_then(Json::as_bool)
-        .unwrap_or(true);
-
-    let workloads = spec.workloads();
-    let plan = spec.plan(&workloads, shards);
-
-    // Dispatch every shard concurrently; each dispatcher walks the
-    // worker list (starting at shard % workers, so load spreads) and
-    // falls back to running in-process when every worker fails.
-    let runs: Vec<Result<ShardRun, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let spec = &spec;
-                let workloads = &workloads;
-                let plan = &plan;
-                let workers = &workers;
-                scope.spawn(move || {
-                    let mut attempts = 0;
-                    let mut failures: Vec<String> = Vec::new();
-                    for i in 0..workers.len() {
-                        let worker = &workers[(shard + i) % workers.len()];
-                        attempts += 1;
-                        match dispatch_shard(state, worker, spec, shard, shards, timeout) {
-                            Ok(report) => {
-                                return Ok(ShardRun {
-                                    shard,
-                                    executor: worker.label(),
-                                    attempts,
-                                    report,
-                                })
-                            }
-                            Err(e) => failures.push(format!("{}: {e}", worker.label())),
-                        }
-                    }
-                    if local_fallback {
-                        attempts += 1;
-                        return execute_shard(state, spec, workloads, plan, shard).map(|report| {
-                            ShardRun {
-                                shard,
-                                executor: "local".to_owned(),
-                                attempts,
-                                report,
-                            }
-                        });
-                    }
-                    Err(format!(
-                        "shard {shard}: every worker failed ({})",
-                        failures.join("; ")
-                    ))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|p| {
-                    Err(format!("shard dispatcher panicked: {}", panic_message(p)))
-                })
-            })
-            .collect()
-    });
-
-    let mut shard_runs = Vec::new();
-    for run in runs {
-        shard_runs.push(run.map_err(|e| WireError::new("worker", e))?);
-    }
-    let shards_json: Vec<Json> = shard_runs
-        .iter()
-        .map(|r| {
-            let mut m = BTreeMap::new();
-            m.insert("shard".to_owned(), num(r.shard));
-            m.insert("executor".to_owned(), Json::Str(r.executor.clone()));
-            m.insert("attempts".to_owned(), num(r.attempts));
-            m.insert("rows".to_owned(), num(r.report.rows.len()));
-            Json::Obj(m)
-        })
-        .collect();
-    let merged = SuiteReport::merge(shard_runs.into_iter().map(|r| r.report))
-        .map_err(|e| WireError::new("worker", format!("merging shard reports: {e}")))?;
-    let missing = merged.missing_ordinals();
-    if !missing.is_empty() {
-        return Err(WireError::new(
-            "worker",
-            format!("merged report is missing designs {missing:?}"),
-        ));
-    }
-    let mut m = BTreeMap::new();
-    m.insert(
-        "digest".to_owned(),
-        Json::Str(format!("{:016x}", merged.digest())),
-    );
-    m.insert("passed".to_owned(), Json::Bool(merged.all_passed()));
-    m.insert("report".to_owned(), merged.to_json());
-    m.insert("shards".to_owned(), Json::Arr(shards_json));
-    m.insert(
-        "elapsed_ms".to_owned(),
-        Json::Num(t0.elapsed().as_millis() as f64),
-    );
-    Ok(Json::Obj(m))
-}
-
-fn dispatch_shard(
-    state: &Arc<State>,
-    worker: &WorkerSpec,
-    spec: &SuiteSpec,
-    shard: usize,
-    shards: usize,
-    timeout: Duration,
-) -> Result<SuiteReport, String> {
-    match worker {
-        WorkerSpec::Tcp(addr) => {
-            let mut client =
-                Client::connect(addr, Duration::from_secs(5)).map_err(|e| e.to_string())?;
-            let mut params = match spec.to_json() {
-                Json::Obj(m) => m,
-                _ => unreachable!("spec serialises to an object"),
-            };
-            params.insert("shard".to_owned(), num(shard));
-            params.insert("shards".to_owned(), num(shards));
-            let reply = client
-                .call_timeout("run_shard", Json::Obj(params), Some(timeout))
-                .map_err(|e| match e {
-                    CallError::Remote(w) => format!("worker error: {w}"),
-                    other => other.to_string(),
-                })?;
-            let report = reply.get("report").ok_or("worker reply missing `report`")?;
-            // from_json re-verifies the report digest, so a worker that
-            // corrupted its result is caught here and retried elsewhere.
-            SuiteReport::from_json(report)
-        }
-        WorkerSpec::Spawn(program) => {
-            let json_path = std::env::temp_dir().join(format!(
-                "smtd-shard-{}-{shard}-of-{shards}.json",
-                std::process::id()
-            ));
-            let json_str = json_path.to_string_lossy().into_owned();
-            let cache_dir = state.config.cache_dir.to_string_lossy().into_owned();
-            let args = spec.cli_args(shard, shards, &json_str, &cache_dir)?;
-            let _ = std::fs::remove_file(&json_path);
-            let mut child = std::process::Command::new(program)
-                .args(&args)
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .map_err(|e| format!("spawning {program}: {e}"))?;
-            let deadline = Instant::now() + timeout;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break, // exit status is reflected in the report rows
-                    Ok(None) => {
-                        if Instant::now() > deadline {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            return Err(format!("{program} timed out after {timeout:?}"));
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    Err(e) => return Err(format!("waiting for {program}: {e}")),
-                }
-            }
-            let text = std::fs::read_to_string(&json_path)
-                .map_err(|e| format!("{program} produced no report: {e}"))?;
-            let _ = std::fs::remove_file(&json_path);
-            let json = smt_base::json::parse(&text).map_err(|e| e.to_string())?;
-            SuiteReport::from_json(&json)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

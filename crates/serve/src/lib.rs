@@ -1,5 +1,4 @@
-//! Flow-as-a-service: the resident `smtd` daemon, its client, and the
-//! distributed shard coordinator.
+//! Flow-as-a-service: the resident `smtd` daemon and its client.
 //!
 //! The flow engine in `smt-core` is batch-shaped: every invocation
 //! pays library characterisation, design realisation, and the full
@@ -10,20 +9,15 @@
 //!   ([`smt_base::proto`]), warm [`LibraryPool`](smt_core::LibraryPool)
 //!   / [`DesignCache`](smt_core::cache::DesignCache) /
 //!   [`SessionRegistry`](smt_core::SessionRegistry) state, per-request
-//!   panic isolation, graceful drain, and the shard coordinator
-//!   (dispatching `run_shard` to remote daemons or spawned `suite`
-//!   subprocesses, retrying past dead workers, merging and
-//!   re-verifying digests).
-//! * [`client`] — the small blocking [`Client`] the `smtc` CLI and the
-//!   coordinator itself use.
-//! * [`spec`] — [`SuiteSpec`], the wire description of a generated
-//!   suite run, fingerprint-compatible with the `suite` bin so every
-//!   executor produces mergeable, digest-identical reports.
+//!   panic isolation, and graceful drain.
+//! * [`client`] — the small blocking [`Client`] the `smtc` CLI uses.
+//!
+//! Sharded suite runs are not a service: the `suite` bin runs each
+//! shard (`--shard K/N --json FILE`) and merges the reports
+//! (`--merge`).
 
 pub mod client;
 pub mod daemon;
-pub mod spec;
 
 pub use client::{CallError, Client};
-pub use daemon::{signals, Daemon, DaemonConfig, DaemonHandle, WorkerSpec};
-pub use spec::SuiteSpec;
+pub use daemon::{signals, Daemon, DaemonConfig, DaemonHandle};

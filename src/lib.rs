@@ -20,8 +20,8 @@
 //! * [`core`] — the paper's methodology: Dual-Vth, conventional SMT,
 //!   improved SMT with shared-switch clustering, and the Fig. 4 flow
 //! * [`circuits`] — benchmark designs (circuit A/B substitutes and more)
-//! * [`serve`] — flow-as-a-service: the resident `smtd` daemon, its
-//!   line-protocol client, and the distributed shard coordinator
+//! * [`serve`] — flow-as-a-service: the resident `smtd` daemon and its
+//!   line-protocol client
 //!
 //! ## Quickstart
 //!

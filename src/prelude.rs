@@ -26,6 +26,4 @@ pub use smt_core::engine::{
     SweepOutcome, SweepRun, Technique,
 };
 pub use smt_core::flow::{run_flow, run_flow_netlist};
-pub use smt_core::suite::{
-    plan_shards, render_suite, ShardPlan, ShardStrategy, SuiteReport, WorkloadSuite,
-};
+pub use smt_core::suite::{plan_shards, render_suite, ShardPlan, SuiteReport, WorkloadSuite};

@@ -9,11 +9,11 @@
 //! * re-flowing that session under another technique re-opens it cold
 //!   from the cached design and is bit-identical to an in-process run
 //!   under that technique;
-//! * a coordinator-driven two-worker sharded suite survives a worker
-//!   that dies mid-request (retry reassigns its shard) and its merged
-//!   report digests identically to the unsharded in-process run;
-//! * garbage frames and unknown methods poison only their own
-//!   connection, and a drain leaves no half-served requests behind;
+//! * `lint` digests identically to a local analysis, and a misspelled
+//!   policy is refused;
+//! * garbage frames and unknown methods (including the removed shard
+//!   verbs) poison only their own connection, and a drain leaves no
+//!   half-served requests behind;
 //! * a hostile route config gets an error reply, and the daemon keeps
 //!   serving.
 
@@ -23,7 +23,7 @@ use selective_mt::circuits::families::{generate, standard_suite, SuiteScale, Wor
 use selective_mt::core::cache::DesignCache;
 use selective_mt::core::engine::{FlowConfig, FlowEngine, Technique};
 use selective_mt::core::suite::SuiteOutcome;
-use selective_mt::serve::{Client, Daemon, DaemonConfig, DaemonHandle, SuiteSpec};
+use selective_mt::serve::{CallError, Client, Daemon, DaemonConfig, DaemonHandle};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -239,111 +239,27 @@ fn warm_flow_is_bit_identical_to_cold_and_in_process_runs() {
         Some(format!("{:016x}", local.digest()).as_str()),
         "wire lint digest must match a local signoff analysis"
     );
+    // A misspelled policy is refused, not silently run without the
+    // MT-wiring rules.
+    match client.call(
+        "lint",
+        obj(&[
+            ("design", Json::Str(workload.name.clone())),
+            ("policy", Json::Str("sigoff".to_owned())),
+        ]),
+    ) {
+        Err(CallError::Remote(e)) => {
+            assert_eq!(e.code, "bad-request");
+            assert!(e.message.contains("structural"), "got: {e:?}");
+        }
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
 
     // Drain: the shutdown reply confirms, and the accept loop exits.
     let bye = client.call("shutdown", obj(&[])).expect("shutdown");
     assert_eq!(bye.get("draining").and_then(Json::as_bool), Some(true));
     await_finished(&handle);
     handle.wait();
-}
-
-#[test]
-fn coordinator_retries_past_a_dead_worker_and_merges_bit_identical() {
-    // Two live workers, plus a "worker" that accepts a connection and
-    // immediately drops it — a worker dying mid-request.
-    let worker_a = daemon("worker-a");
-    let worker_b = daemon("worker-b");
-    let dead = std::net::TcpListener::bind("127.0.0.1:0").expect("dead listener binds");
-    let dead_addr = dead.local_addr().expect("dead addr");
-    std::thread::spawn(move || {
-        for stream in dead.incoming() {
-            drop(stream);
-        }
-    });
-
-    let coordinator = daemon("coordinator");
-    let mut client = connect(&coordinator);
-    // The dead worker is registered FIRST, so shard 0's dispatch hits
-    // it and must retry onto a live worker.
-    for spec in [
-        format!("tcp:{dead_addr}"),
-        format!("tcp:{}", worker_a.addr()),
-        format!("tcp:{}", worker_b.addr()),
-    ] {
-        client
-            .call("register-worker", obj(&[("worker", Json::Str(spec))]))
-            .expect("register worker");
-    }
-
-    let spec = SuiteSpec {
-        take: Some(2),
-        equiv_cycles: 8,
-        ..SuiteSpec::default()
-    };
-    let mut params = match spec.to_json() {
-        Json::Obj(m) => m,
-        other => panic!("spec JSON is an object, got {other:?}"),
-    };
-    params.insert("shards".to_owned(), Json::Num(2.0));
-    // No local fallback: the merge below proves the work really ran on
-    // the TCP workers.
-    params.insert("local_fallback".to_owned(), Json::Bool(false));
-    let reply = client
-        .call_timeout("suite", Json::Obj(params), Some(Duration::from_secs(1800)))
-        .expect("sharded suite");
-
-    assert_eq!(reply.get("passed").and_then(Json::as_bool), Some(true));
-    let shards = reply
-        .get("shards")
-        .and_then(Json::as_arr)
-        .expect("shard table");
-    assert_eq!(shards.len(), 2);
-    for shard in shards {
-        let executor = shard
-            .get("executor")
-            .and_then(Json::as_str)
-            .expect("executor");
-        assert!(
-            executor.starts_with("tcp:"),
-            "every shard must run on a TCP worker, got `{executor}`"
-        );
-    }
-    let shard0 = shards
-        .iter()
-        .find(|s| s.get("shard").and_then(Json::as_usize) == Some(0))
-        .expect("shard 0 row");
-    assert!(
-        shard0
-            .get("attempts")
-            .and_then(Json::as_usize)
-            .expect("attempts")
-            >= 2,
-        "shard 0 hits the dead worker first and must retry"
-    );
-
-    // In-process reference: the same spec, unsharded, fresh cache.
-    let lib = Library::industrial_130nm();
-    let mut cache =
-        DesignCache::open(temp_dir("suite-reference"), &lib).expect("reference cache opens");
-    let workloads = spec.workloads();
-    let all: Vec<usize> = (0..workloads.len()).collect();
-    let suite = spec
-        .build_shard(&lib, &mut cache, &workloads, 0, &all)
-        .expect("reference suite builds");
-    let report = suite.run(&lib);
-    assert!(report.all_passed());
-    assert_eq!(
-        reply.get("digest").and_then(Json::as_str),
-        Some(format!("{:016x}", report.digest()).as_str()),
-        "coordinator merge must be bit-identical to the unsharded in-process run"
-    );
-
-    for handle in [coordinator, worker_a, worker_b] {
-        let mut c = connect(&handle);
-        c.call("shutdown", obj(&[])).expect("shutdown");
-        await_finished(&handle);
-        handle.wait();
-    }
 }
 
 #[test]
@@ -372,18 +288,18 @@ fn garbage_frames_and_unknown_methods_poison_only_their_connection() {
         Json::Bool(true)
     );
 
-    // Unknown methods are structured errors, not disconnects.
-    let err = client.call("frobnicate", obj(&[]));
-    match err {
-        Err(selective_mt::serve::CallError::Remote(e)) => {
-            assert_eq!(e.code, "unknown-method");
+    // Unknown methods are structured errors, not disconnects. The shard
+    // verbs are unknown too: sharded suites run through the `suite` bin.
+    for method in ["frobnicate", "suite", "run_shard", "register-worker"] {
+        match client.call(method, obj(&[])) {
+            Err(CallError::Remote(e)) => assert_eq!(e.code, "unknown-method", "{method}"),
+            other => panic!("`{method}`: expected a remote error, got {other:?}"),
         }
-        other => panic!("expected a remote error, got {other:?}"),
+        assert_eq!(
+            client.call("ping", obj(&[])).expect("ping again"),
+            Json::Bool(true)
+        );
     }
-    assert_eq!(
-        client.call("ping", obj(&[])).expect("ping again"),
-        Json::Bool(true)
-    );
 
     // Status reflects the traffic and the drain finishes clean.
     let status = client.call("status", obj(&[])).expect("status");
@@ -418,7 +334,7 @@ fn hostile_route_config_gets_an_error_reply_and_the_daemon_keeps_serving() {
     // an allocation failure aborts the process, which no panic guard
     // catches. It must be refused before anything is routed.
     match client.call("flow", flow_with_tile(1e-4)) {
-        Err(selective_mt::serve::CallError::Remote(e)) => {
+        Err(CallError::Remote(e)) => {
             assert!(e.message.contains("tile_um"), "got: {e:?}");
         }
         other => panic!("expected a remote error, got {other:?}"),

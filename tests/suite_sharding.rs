@@ -10,7 +10,7 @@ use selective_mt::cells::library::Library;
 use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
 use selective_mt::core::cache::DesignCache;
 use selective_mt::core::flow::{FlowConfig, Technique};
-use selective_mt::core::suite::{render_suite, ShardStrategy, SuiteReport, WorkloadSuite};
+use selective_mt::core::suite::{render_suite, SuiteReport, WorkloadSuite};
 
 fn lib() -> Library {
     Library::industrial_130nm()
@@ -40,27 +40,27 @@ fn sharded_smoke_run_merges_bit_identical_to_unsharded() {
     let unsharded = suite.run(&l);
     assert!(unsharded.all_passed(), "{}", unsharded.render());
 
-    for strategy in [ShardStrategy::ByGates, ShardStrategy::ByIndex] {
-        let plan = suite.plan(2, strategy);
-        let shard0 = suite.run_shard(&l, &plan, 0);
-        let shard1 = suite.run_shard(&l, &plan, 1);
+    for shards in [2, 3] {
+        let plan = suite.plan(shards);
+        let reports: Vec<SuiteReport> =
+            (0..shards).map(|k| suite.run_shard(&l, &plan, k)).collect();
         assert_eq!(
-            shard0.rows.len() + shard1.rows.len(),
+            reports.iter().map(|r| r.rows.len()).sum::<usize>(),
             unsharded.rows.len(),
-            "{strategy:?}: plans must partition the suite"
+            "{shards} shards: plans must partition the suite"
         );
 
         // Through the JSON round trip (what CI's --shard/--merge does),
-        // merged in swapped order to exercise commutativity.
+        // merged in reverse order to exercise commutativity.
         let reload = |r: &SuiteReport| {
             SuiteReport::from_json(&r.to_json()).expect("shard report JSON round trip")
         };
-        let merged = SuiteReport::merge([reload(&shard1), reload(&shard0)]).expect("shards merge");
-        assert!(merged.missing_ordinals().is_empty(), "{strategy:?}");
+        let merged = SuiteReport::merge(reports.iter().rev().map(reload)).expect("shards merge");
+        assert!(merged.missing_ordinals().is_empty(), "{shards} shards");
         assert_eq!(
             merged.digest(),
             unsharded.digest(),
-            "{strategy:?}: merged shards differ from the unsharded run:\n{}\nvs\n{}",
+            "{shards} shards: merged shards differ from the unsharded run:\n{}\nvs\n{}",
             render_suite(&merged),
             render_suite(&unsharded),
         );
@@ -96,7 +96,7 @@ fn sharded_smoke_run_merges_bit_identical_to_unsharded() {
 
         // Merging the same shard twice must be rejected, not silently
         // double-counted.
-        assert!(SuiteReport::merge([reload(&shard0), reload(&shard0)]).is_err());
+        assert!(SuiteReport::merge([reload(&reports[0]), reload(&reports[0])]).is_err());
     }
 }
 
