@@ -14,13 +14,15 @@
 //! from the model instead of being hard-coded.
 
 use crate::cell::{
-    Cell, CellId, CellKind, CellRole, MtInfo, PinSpec, SwitchSpec, TimingArc, TruthTable, VthClass,
+    Cell, CellId, CellKind, CellRole, MtInfo, PinDir, PinSpec, SwitchSpec, TimingArc, TruthTable,
+    VthClass,
 };
 use crate::leakage::{LeakageTable, PullNetwork};
 use crate::tech::Technology;
 use smt_base::fingerprint::Fnv64;
 use smt_base::units::{Area, Cap, Current, Res, Time};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Knobs for library generation. The defaults reproduce the paper-era
 /// relationships; the ablation benches sweep some of them.
@@ -161,7 +163,26 @@ pub struct Library {
     pub config: LibraryConfig,
     cells: Vec<Cell>,
     by_name: HashMap<String, CellId>,
+    /// Per cell, its variant in each [`VthClass`] (indexed `vth as
+    /// usize`): the cell named `{base}_X{drive}_{suffix}` after the
+    /// cell's kind and drive, looked up once when the library is built.
+    variants: Vec<[Option<CellId>; 4]>,
+    /// Per cell, the id of the first cell with the same pin names and
+    /// directions in the same order (`NO_LAYOUT` when two of its pins
+    /// share a name).
+    pin_layout: Vec<u32>,
 }
+
+/// Every [`VthClass`], in declaration order (`vth as usize` indexes it).
+const VTH_CLASSES: [VthClass; 4] = [
+    VthClass::Low,
+    VthClass::High,
+    VthClass::MtEmbedded,
+    VthClass::MtVgnd,
+];
+
+/// `pin_layout` sentinel for a cell whose pin names repeat.
+const NO_LAYOUT: u32 = u32::MAX;
 
 impl Library {
     /// The default library on the default 130 nm technology.
@@ -177,10 +198,13 @@ impl Library {
             config,
             cells: Vec::new(),
             by_name: HashMap::new(),
+            variants: Vec::new(),
+            pin_layout: Vec::new(),
         };
         for cell in cells {
             lib.push(cell);
         }
+        lib.index_cells();
         lib
     }
 
@@ -191,6 +215,8 @@ impl Library {
             config,
             cells: Vec::new(),
             by_name: HashMap::new(),
+            variants: Vec::new(),
+            pin_layout: Vec::new(),
         };
         let drives = lib.config.drives.clone();
         for &kind in CellKind::logic_kinds() {
@@ -221,6 +247,7 @@ impl Library {
         }
         let holder = lib.build_holder();
         lib.push(holder);
+        lib.index_cells();
         lib
     }
 
@@ -229,6 +256,58 @@ impl Library {
         let prev = self.by_name.insert(cell.name.clone(), id);
         debug_assert!(prev.is_none(), "duplicate cell name {}", cell.name);
         self.cells.push(cell);
+    }
+
+    /// Fills the per-cell tables once every cell is in: each cell's Vth
+    /// variants (by name, as [`Library::variant_id`] defines them) and
+    /// its pin-layout class (for [`Library::same_pins`]).
+    fn index_cells(&mut self) {
+        // A variant's name depends only on the cell's kind and drive, so
+        // each (kind, drive) pair is looked up once.
+        let mut by_kind_drive: HashMap<(CellKind, u8), [Option<CellId>; 4]> = HashMap::new();
+        let mut name = String::new();
+        let variants = self
+            .cells
+            .iter()
+            .map(|cell| {
+                *by_kind_drive
+                    .entry((cell.kind, cell.drive))
+                    .or_insert_with(|| {
+                        VTH_CLASSES.map(|vth| {
+                            name.clear();
+                            let _ = write!(
+                                name,
+                                "{}_X{}_{}",
+                                cell.kind.base_name(),
+                                cell.drive,
+                                vth.suffix()
+                            );
+                            self.find_id(&name)
+                        })
+                    })
+            })
+            .collect();
+        let mut layouts: HashMap<Vec<(&str, PinDir)>, u32> = HashMap::new();
+        let pin_layout = self
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(id, cell)| {
+                let pins: Vec<(&str, PinDir)> =
+                    cell.pins.iter().map(|p| (p.name.as_str(), p.dir)).collect();
+                let repeats = pins
+                    .iter()
+                    .enumerate()
+                    .any(|(k, (name, _))| pins[..k].iter().any(|(n, _)| n == name));
+                if repeats {
+                    NO_LAYOUT
+                } else {
+                    *layouts.entry(pins).or_insert(id as u32)
+                }
+            })
+            .collect();
+        self.variants = variants;
+        self.pin_layout = pin_layout;
     }
 
     /// Unit NMOS width at a drive strength, µm.
@@ -605,25 +684,29 @@ impl Library {
         self.by_name.get(name).copied()
     }
 
-    /// The same function and drive in a different Vth flavour.
+    /// The same function and drive in a different Vth flavour: the
+    /// [`Library::variant_id`] of the library cell named like `cell`
+    /// (`None` when this library has no cell of that name).
     pub fn variant_of(&self, cell: &Cell, vth: VthClass) -> Option<&Cell> {
-        self.find(&format!(
-            "{}_X{}_{}",
-            cell.kind.base_name(),
-            cell.drive,
-            vth.suffix()
-        ))
+        let id = self.find_id(&cell.name)?;
+        self.variant_id(id, vth).map(|v| self.cell(v))
     }
 
-    /// Id-level flavour swap, used by the netlist rewriters.
+    /// Id-level flavour swap, used by the netlist rewriters: the cell
+    /// named `{base}_X{drive}_{suffix}` after `id`'s kind and drive and
+    /// `vth`'s suffix. A table lookup, filled when the library is built.
     pub fn variant_id(&self, id: CellId, vth: VthClass) -> Option<CellId> {
-        let cell = self.cell(id);
-        self.find_id(&format!(
-            "{}_X{}_{}",
-            cell.kind.base_name(),
-            cell.drive,
-            vth.suffix()
-        ))
+        self.variants[id.index()][vth as usize]
+    }
+
+    /// True when cells `a` and `b` have the same pins — the same names
+    /// and directions, in the same order — and no pin name repeats, so
+    /// rebinding an instance by pin name maps every pin to the pin of
+    /// the same index. Every `L`/`H` pair of
+    /// [`Library::industrial_130nm`] qualifies.
+    pub fn same_pins(&self, a: CellId, b: CellId) -> bool {
+        let layout = self.pin_layout[a.index()];
+        layout != NO_LAYOUT && layout == self.pin_layout[b.index()]
     }
 
     /// Ids of all footer-switch cells, narrowest first.

@@ -6,18 +6,27 @@
 //! the cheapest to slow down. Each pass binary-searches the largest
 //! slack-sorted prefix whose wholesale swap keeps setup timing met — a
 //! handful of STA runs per pass instead of one per cell — and passes
-//! repeat until no further cell can be swapped.
+//! repeat until no further cell can be swapped. A peephole pass then
+//! retries the worst-leaking cells left low one at a time.
+//!
+//! Every probe is a full STA, but the state it times lives across
+//! probes: one [`TimingGraph`], one [`SinkCache`] and one [`Derating`]
+//! per assignment. A swap is a same-pin [`Netlist::replace_cell`]; it
+//! sets the swapped cell's derating factor and marks the nets on its
+//! input pins, and the next probe refreshes only those rows of the
+//! cache. The reports are bit-identical to timing each probe from
+//! scratch.
 //!
 //! Cells left at low-Vth after this stage are, by definition, the
 //! timing-critical set: they are exactly the cells the Selective-MT
 //! transforms replace with MT-cells.
 
 use smt_base::units::Time;
-use smt_cells::cell::VthClass;
+use smt_cells::cell::{Cell, CellId, CellRole, PinDir, VthClass};
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
 use smt_route::Parasitics;
-use smt_sta::{analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
+use smt_sta::{analyze_cached, Derating, SinkCache, StaConfig, TimingGraph, TimingReport};
 
 /// Options for the assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,38 +105,111 @@ impl std::fmt::Display for AssignVthError {
 
 impl std::error::Error for AssignVthError {}
 
-/// Runs STA at every corner library over the assignment's shared
-/// [`TimingGraph`]; reports come back in `libs` order.
-///
-/// The graph is built **once per assignment** (every edit the loop
-/// makes is a same-pin variant swap, which preserves topology and
-/// levels); only the sink cache — load-list order and pin-cap sums
-/// change under swaps — and the derating table are re-derived per
-/// probe, then shared across the corner libraries.
-fn sta(
-    netlist: &Netlist,
-    graph: &TimingGraph,
-    libs: &[&Library],
-    parasitics: &Parasitics,
-    config: &StaConfig,
+/// The timing state one assignment's probes share, kept in step with the
+/// netlist swap by swap. The graph is built once: every edit the
+/// assignment makes is a same-pin Vth swap, which keeps topology and
+/// levels. The sink cache and the derating table are built once too,
+/// then updated per swap instead of rebuilt per probe.
+struct ProbeState<'a> {
+    libs: &'a [&'a Library],
+    parasitics: &'a Parasitics,
+    config: &'a StaConfig,
     low_vth_derate: f64,
-) -> Vec<TimingReport> {
-    let derating = if low_vth_derate > 1.0 {
-        let mut d = Derating::uniform(netlist);
-        for (id, inst) in netlist.instances() {
-            let cell = libs[0].cell(inst.cell);
-            if cell.vth == VthClass::Low && cell.role == smt_cells::cell::CellRole::Logic {
-                d.set(id, low_vth_derate);
+    graph: TimingGraph,
+    cache: SinkCache,
+    /// `low_vth_derate` on low-Vth logic, 1.0 elsewhere; no table at all
+    /// when the derate is 1.0.
+    derating: Derating,
+}
+
+impl<'a> ProbeState<'a> {
+    fn new(
+        netlist: &Netlist,
+        libs: &'a [&'a Library],
+        parasitics: &'a Parasitics,
+        config: &'a StaConfig,
+        low_vth_derate: f64,
+    ) -> Result<Self, AssignVthError> {
+        let lib = libs[0];
+        let graph = TimingGraph::build(netlist, lib).map_err(AssignVthError::Cycle)?;
+        let cache = graph.build_cache(netlist);
+        let derating = if low_vth_derate > 1.0 {
+            let mut d = Derating::uniform(netlist);
+            for (id, inst) in netlist.instances() {
+                if is_derated(lib.cell(inst.cell)) {
+                    d.set(id, low_vth_derate);
+                }
+            }
+            d
+        } else {
+            Derating::none()
+        };
+        Ok(ProbeState {
+            libs,
+            parasitics,
+            config,
+            low_vth_derate,
+            graph,
+            cache,
+            derating,
+        })
+    }
+
+    /// Swaps instance `id` to `cell` (a same-pin variant), sets its
+    /// derating factor for the new cell, and marks the nets on its input
+    /// pins: the swap changed a pin cap there and moved the instance's
+    /// pins to the end of those load lists.
+    fn swap(&mut self, netlist: &mut Netlist, id: InstId, cell: CellId) {
+        let lib = self.libs[0];
+        netlist
+            .replace_cell(id, cell, lib)
+            .expect("variant swap preserves pins");
+        if self.low_vth_derate > 1.0 {
+            let factor = if is_derated(lib.cell(cell)) {
+                self.low_vth_derate
+            } else {
+                1.0
+            };
+            self.derating.set(id, factor);
+        }
+        let inst = netlist.inst(id);
+        for (conn, dir) in inst.conns.iter().zip(&inst.pin_dirs) {
+            if let (Some(net), PinDir::Input) = (conn, dir) {
+                self.cache.mark(*net);
             }
         }
-        d
-    } else {
-        Derating::none()
-    };
-    let cache = graph.build_cache(netlist);
-    libs.iter()
-        .map(|lib| analyze_cached(graph, &cache, netlist, lib, parasitics, config, &derating))
-        .collect()
+    }
+
+    /// Runs STA at every corner library over the shared graph, cache
+    /// and derating table; reports come back in `libs` order. The cache
+    /// first re-derives the rows the swaps since the last probe marked.
+    fn sta(&mut self, netlist: &Netlist) -> Vec<TimingReport> {
+        self.cache.refresh(&self.graph, netlist);
+        self.libs
+            .iter()
+            .map(|lib| {
+                analyze_cached(
+                    &self.graph,
+                    &self.cache,
+                    netlist,
+                    lib,
+                    self.parasitics,
+                    self.config,
+                    &self.derating,
+                )
+            })
+            .collect()
+    }
+
+    /// Worst setup WNS across the corner libraries.
+    fn wns(&mut self, netlist: &Netlist) -> Time {
+        worst_wns(&self.sta(netlist))
+    }
+}
+
+/// Cells that carry the low-Vth derate: low-Vth logic.
+fn is_derated(cell: &Cell) -> bool {
+    cell.vth == VthClass::Low && cell.role == CellRole::Logic
 }
 
 /// Worst setup WNS across corner reports.
@@ -152,16 +234,32 @@ fn worst_inst_slack(
         .fold(Time::new(f64::INFINITY), Time::min)
 }
 
-fn is_candidate(lib: &Library, netlist: &Netlist, id: InstId, include_ffs: bool) -> bool {
-    let cell = lib.cell(netlist.inst(id).cell);
+/// True for a low-Vth logic cell, or a low-Vth flip-flop when
+/// `include_ffs` is set.
+fn is_low(cell: &Cell, include_ffs: bool) -> bool {
     if cell.vth != VthClass::Low {
         return false;
     }
     match cell.role {
-        smt_cells::cell::CellRole::Logic => true,
-        smt_cells::cell::CellRole::Sequential => include_ffs,
+        CellRole::Logic => true,
+        CellRole::Sequential => include_ffs,
         _ => false,
     }
+}
+
+/// A swap candidate: an instance whose cell [`is_low`] and has a
+/// high-Vth variant. Returns its `(low, high)` cell pair.
+fn candidate(
+    lib: &Library,
+    netlist: &Netlist,
+    id: InstId,
+    include_ffs: bool,
+) -> Option<(CellId, CellId)> {
+    let low = netlist.inst(id).cell;
+    if !is_low(lib.cell(low), include_ffs) {
+        return None;
+    }
+    lib.variant_id(low, VthClass::High).map(|high| (low, high))
 }
 
 /// Runs Dual-Vth assignment in place at a single corner (the original
@@ -189,7 +287,8 @@ pub fn assign_dual_vth(
 /// All libraries must share cell ids (the [`smt_cells::corner`]
 /// invariant); `libs[0]` is used for cell metadata and variant lookup.
 /// With a single library this is exactly the original single-corner
-/// assignment.
+/// assignment. A low-Vth cell whose library has no high-Vth variant is
+/// not a candidate: it stays low.
 ///
 /// # Errors
 ///
@@ -206,11 +305,8 @@ pub fn assign_dual_vth_at_corners(
     assert!(!libs.is_empty(), "at least one corner library");
     let lib = libs[0];
     let margin = config.slack_margin;
-    let derate = config.low_vth_derate;
-    // Built once for the whole assignment: every edit below is a
-    // same-pin variant swap, so topology and levels never change.
-    let graph = TimingGraph::build(netlist, lib).map_err(AssignVthError::Cycle)?;
-    let base = worst_wns(&sta(netlist, &graph, libs, parasitics, sta_config, derate));
+    let mut probe = ProbeState::new(netlist, libs, parasitics, sta_config, config.low_vth_derate)?;
+    let base = probe.wns(netlist);
     if base < margin {
         return Err(AssignVthError::InfeasibleConstraint { wns: base });
     }
@@ -219,7 +315,7 @@ pub fn assign_dual_vth_at_corners(
     let mut passes = 0usize;
     let initial_candidates = netlist
         .instances()
-        .filter(|&(id, _)| is_candidate(lib, netlist, id, config.include_ffs))
+        .filter(|&(id, _)| candidate(lib, netlist, id, config.include_ffs).is_some())
         .count();
     let budget = config
         .max_high_fraction
@@ -228,64 +324,52 @@ pub fn assign_dual_vth_at_corners(
 
     for _pass in 0..config.max_passes {
         passes += 1;
-        let reports = sta(netlist, &graph, libs, parasitics, sta_config, derate);
+        let reports = probe.sta(netlist);
         // Candidates sorted by worst-across-corners slack, largest first.
-        let mut cands: Vec<(Time, InstId)> = netlist
+        let mut cands: Vec<(Time, InstId, CellId, CellId)> = netlist
             .instances()
-            .map(|(id, _)| id)
-            .filter(|&id| is_candidate(lib, netlist, id, config.include_ffs))
-            .map(|id| (worst_inst_slack(netlist, libs, &reports, id), id))
+            .filter_map(|(id, _)| {
+                let (low, high) = candidate(lib, netlist, id, config.include_ffs)?;
+                Some((worst_inst_slack(netlist, libs, &reports, id), id, low, high))
+            })
             .collect();
         if cands.is_empty() {
             break;
         }
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut ids: Vec<InstId> = cands.iter().map(|&(_, id)| id).collect();
         // Respect the swap budget (paper-era operating-point emulation):
         // only the highest-slack remainder of the budget is eligible.
         let remaining = budget.saturating_sub(swapped_total);
         if remaining == 0 {
             break;
         }
-        ids.truncate(remaining);
+        cands.truncate(remaining);
 
         // Binary search the largest prefix that still meets timing.
-        let swap_prefix = |netlist: &mut Netlist, k: usize, to_high: bool| {
-            for &id in &ids[..k] {
-                let want = if to_high {
-                    VthClass::High
-                } else {
-                    VthClass::Low
-                };
-                let new_cell = lib
-                    .variant_id(netlist.inst(id).cell, want)
-                    .expect("every L cell has an H variant");
-                netlist
-                    .replace_cell(id, new_cell, lib)
-                    .expect("variant swap preserves pins");
+        let swap_prefix = |probe: &mut ProbeState, netlist: &mut Netlist, k: usize, high: bool| {
+            for &(_, id, low_cell, high_cell) in &cands[..k] {
+                probe.swap(netlist, id, if high { high_cell } else { low_cell });
             }
         };
         let mut lo = 0usize; // known-good prefix
-        let mut hi = ids.len(); // first known-bad beyond
-                                // Probe the full swap first: often everything fits.
-        swap_prefix(netlist, hi, true);
-        let r = worst_wns(&sta(netlist, &graph, libs, parasitics, sta_config, derate));
-        if r >= margin {
+        let mut hi = cands.len(); // first known-bad beyond
+                                  // Probe the full swap first: often everything fits.
+        swap_prefix(&mut probe, netlist, hi, true);
+        if probe.wns(netlist) >= margin {
             lo = hi;
         } else {
-            swap_prefix(netlist, hi, false);
+            swap_prefix(&mut probe, netlist, hi, false);
             while hi - lo > 1 {
                 let mid = (lo + hi) / 2;
-                swap_prefix(netlist, mid, true);
-                let r = worst_wns(&sta(netlist, &graph, libs, parasitics, sta_config, derate));
-                if r >= margin {
+                swap_prefix(&mut probe, netlist, mid, true);
+                if probe.wns(netlist) >= margin {
                     lo = mid;
                 } else {
                     hi = mid;
                 }
-                swap_prefix(netlist, mid, false);
+                swap_prefix(&mut probe, netlist, mid, false);
             }
-            swap_prefix(netlist, lo, true);
+            swap_prefix(&mut probe, netlist, lo, true);
         }
         swapped_total += lo;
         if lo == 0 {
@@ -297,38 +381,29 @@ pub fn assign_dual_vth_at_corners(
     // retry the remaining low cells one at a time, worst leakers first
     // (flip-flops dominate this list — they cannot be power-gated, so a
     // low-Vth FF left behind costs the full subthreshold current forever).
-    let mut singles: Vec<(f64, InstId)> = netlist
+    let mut singles: Vec<(f64, InstId, CellId, CellId)> = netlist
         .instances()
-        .map(|(id, _)| id)
-        .filter(|&id| is_candidate(lib, netlist, id, config.include_ffs))
-        .map(|id| {
-            let leak = lib.cell(netlist.inst(id).cell).standby_leak.ua();
-            (leak, id)
+        .filter_map(|(id, _)| {
+            let (low, high) = candidate(lib, netlist, id, config.include_ffs)?;
+            Some((lib.cell(low).standby_leak.ua(), id, low, high))
         })
         .collect();
     singles.sort_by(|a, b| b.0.total_cmp(&a.0));
     let singles_budget = budget.saturating_sub(swapped_total).min(128);
-    for (_, id) in singles.into_iter().take(singles_budget) {
-        let high = lib
-            .variant_id(netlist.inst(id).cell, VthClass::High)
-            .expect("H variant");
-        let low = netlist.inst(id).cell;
-        netlist.replace_cell(id, high, lib).expect("variant swap");
-        let r = worst_wns(&sta(netlist, &graph, libs, parasitics, sta_config, derate));
-        if r >= margin {
+    for (_, id, low, high) in singles.into_iter().take(singles_budget) {
+        probe.swap(netlist, id, high);
+        if probe.wns(netlist) >= margin {
             swapped_total += 1;
         } else {
-            netlist
-                .replace_cell(id, low, lib)
-                .expect("variant swap back");
+            probe.swap(netlist, id, low);
         }
     }
 
     let left_low = netlist
         .instances()
-        .filter(|&(id, _)| is_candidate(lib, netlist, id, true))
+        .filter(|(_, inst)| is_low(lib.cell(inst.cell), true))
         .count();
-    let final_wns = worst_wns(&sta(netlist, &graph, libs, parasitics, sta_config, derate));
+    let final_wns = probe.wns(netlist);
     debug_assert!(final_wns >= margin, "assignment must preserve timing");
     Ok(DualVthReport {
         swapped_to_high: swapped_total,
@@ -457,6 +532,35 @@ mod tests {
             assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap_err();
         assert!(matches!(e, AssignVthError::InfeasibleConstraint { .. }));
         assert!(e.to_string().contains("infeasible"));
+    }
+
+    #[test]
+    fn a_cell_without_a_high_vth_variant_stays_low() {
+        use smt_cells::library::LibraryConfig;
+        let base = lib();
+        let cells = base
+            .cells()
+            .iter()
+            .filter(|c| c.name != "INV_X1_H")
+            .cloned()
+            .collect();
+        let lib = Library::from_cells(base.tech.clone(), LibraryConfig::default(), cells);
+        let inv = lib.find_id("INV_X1_L").unwrap();
+        assert_eq!(lib.variant_id(inv, VthClass::High), None);
+        let mut n = two_path_design(&lib, 10, 4);
+        let p = place(&n, &lib, &PlacerConfig::default());
+        let par = Parasitics::estimate(&n, &lib, &p);
+        let sta_cfg = StaConfig {
+            clock_period: Time::from_ns(50.0), // everything has slack
+            ..StaConfig::default()
+        };
+        let report =
+            assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap();
+        let invs = n.instances().filter(|(_, i)| i.cell == inv).count();
+        assert_eq!(invs, 14, "every inverter stays INV_X1_L");
+        assert_eq!(report.left_low, invs, "{report:?}");
+        // The flip-flops, which have an H variant, still move.
+        assert_eq!(report.swapped_to_high, 4, "{report:?}");
     }
 
     #[test]

@@ -414,6 +414,18 @@ impl Netlist {
     ///
     /// This is the primitive behind every Vth re-assignment in Fig. 4.
     ///
+    /// Every connected input pin is removed from its net's load list and
+    /// re-appended, in pin order: the instance's input pins move to the
+    /// end of their load lists, and the sinks behind them move up one
+    /// ordinal. That order sets the float order of static-load sums and
+    /// which per-sink Elmore delay each sink reads until the next
+    /// extraction.
+    ///
+    /// Between cells with the same pins ([`Library::same_pins`], e.g. a
+    /// Vth swap) every pin keeps its index, and the swap skips the
+    /// pin-name search and allocates nothing; the netlist ends up exactly
+    /// as the general rebind leaves it.
+    ///
     /// The replacement is transactional: *every* rebind (pin-name
     /// compatibility and second-driver checks included) is validated
     /// before the first mutation, so on any error the netlist is left
@@ -426,6 +438,32 @@ impl Netlist {
     /// special pin; [`NetlistError::MultipleDrivers`] when a rebind would
     /// land an output pin on a net that keeps another driver.
     pub fn replace_cell(
+        &mut self,
+        inst: InstId,
+        new_cell: CellId,
+        lib: &Library,
+    ) -> Result<(), NetlistError> {
+        let me = &self.insts[inst.index()];
+        let new_spec = lib.cell(new_cell);
+        if lib.same_pins(me.cell, new_cell)
+            && me.conns.len() == new_spec.pins.len()
+            && me
+                .pin_dirs
+                .iter()
+                .zip(&new_spec.pins)
+                .all(|(d, p)| *d == p.dir)
+        {
+            self.swap_same_pins(inst, new_cell)
+        } else {
+            self.rebind_by_name(inst, new_cell, lib)
+        }
+    }
+
+    /// The general form of [`Netlist::replace_cell`]: resolves every
+    /// connected pin by name on the new cell, validates, then
+    /// disconnects every connected pin and reconnects each binding, in
+    /// old-pin order.
+    fn rebind_by_name(
         &mut self,
         inst: InstId,
         new_cell: CellId,
@@ -488,6 +526,51 @@ impl Netlist {
         for (pin, net) in bindings {
             self.connect(inst, pin, net)
                 .expect("pre-validated rebind cannot fail");
+        }
+        Ok(())
+    }
+
+    /// [`Netlist::replace_cell`] onto a cell with the same pins, whose
+    /// instance pin directions already match: each pin keeps its index
+    /// and net. The same second-driver check runs first, and the commit
+    /// leaves each net exactly as the general rebind does (driver pins
+    /// re-bound, each connected input pin moved to the end of its load
+    /// list, in pin order), without allocating.
+    fn swap_same_pins(&mut self, inst: InstId, new_cell: CellId) -> Result<(), NetlistError> {
+        let me = &self.insts[inst.index()];
+        for (pin, conn) in me.conns.iter().enumerate() {
+            let (Some(net), PinDir::Output) = (*conn, me.pin_dirs[pin]) else {
+                continue;
+            };
+            let foreign_driver = match self.nets[net.index()].driver {
+                Some(NetDriver::Inst(pr)) => pr.inst != inst,
+                Some(NetDriver::Port(_)) => true,
+                None => false,
+            };
+            let driven = me.conns[..pin]
+                .iter()
+                .zip(&me.pin_dirs)
+                .any(|(c, d)| *d == PinDir::Output && *c == Some(net));
+            if foreign_driver || driven {
+                return Err(NetlistError::MultipleDrivers {
+                    net: self.nets[net.index()].name.clone(),
+                });
+            }
+        }
+        // Commit: every step below is infallible.
+        let me = &mut self.insts[inst.index()];
+        me.cell = new_cell;
+        for (pin, (conn, dir)) in me.conns.iter().zip(&me.pin_dirs).enumerate() {
+            let Some(net) = *conn else { continue };
+            let pr = PinRef { inst, pin };
+            let n = &mut self.nets[net.index()];
+            match dir {
+                PinDir::Output => n.driver = Some(NetDriver::Inst(pr)),
+                PinDir::Input => {
+                    n.loads.retain(|l| *l != pr);
+                    n.loads.push(pr);
+                }
+            }
         }
         Ok(())
     }
@@ -1075,6 +1158,50 @@ mod tests {
                 net.name
             );
         }
+    }
+
+    #[test]
+    fn same_pin_swap_matches_the_general_rebind() {
+        // u1 reads `a` on both inputs, next to two other sinks of `a`:
+        // the swap must move both of u1's pins to the end of the load
+        // list, in pin order, exactly as the general rebind does.
+        let lib = lib();
+        let (mut n, u1, _) = tiny(&lib);
+        let a = n.find_net("a").unwrap();
+        let extra = n.add_net("extra");
+        let u3 = n.add_instance("u3", lib.find_id("ND2_X1_L").unwrap(), &lib);
+        n.connect_by_name(u3, "A", a, &lib).unwrap();
+        n.connect_by_name(u3, "Z", extra, &lib).unwrap();
+        n.connect_by_name(u1, "B", a, &lib).unwrap();
+        n.connect_by_name(u3, "B", a, &lib).unwrap();
+        let high = lib.find_id("ND2_X1_H").unwrap();
+        assert!(lib.same_pins(n.inst(u1).cell, high));
+        let mut general = n.clone();
+        n.replace_cell(u1, high, &lib).unwrap();
+        general.rebind_by_name(u1, high, &lib).unwrap();
+        assert_eq!(n.fingerprint(), general.fingerprint());
+        assert_eq!(
+            n.net(a).loads,
+            vec![
+                PinRef { inst: u3, pin: 0 },
+                PinRef { inst: u3, pin: 1 },
+                PinRef { inst: u1, pin: 0 },
+                PinRef { inst: u1, pin: 1 },
+            ]
+        );
+
+        // A foreign driver on the output net (a broken netlist) is the
+        // same error on both paths, and neither path touches anything.
+        let n1 = n.find_net("n1").unwrap();
+        n.nets[n1.index()].driver = Some(NetDriver::Port(PortId(0)));
+        let before = n.clone();
+        let low = lib.find_id("ND2_X1_L").unwrap();
+        let fast = n.replace_cell(u1, low, &lib).unwrap_err();
+        let mut general = before.clone();
+        let slow = general.rebind_by_name(u1, low, &lib).unwrap_err();
+        assert_eq!(fast, slow);
+        assert_eq!(n.fingerprint(), before.fingerprint());
+        assert_eq!(general.fingerprint(), before.fingerprint());
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Forward/backward timing propagation, slack, critical paths, and hold
 //! analysis.
 //!
-//! Since the [`TimingGraph`] kernel landed,
-//! [`analyze`] builds the levelized graph for the current topology and
-//! runs the shared kernel propagation; callers that re-analyze the same
-//! topology repeatedly (corner sweeps, assignment loops) build the graph
-//! once and call [`analyze_with_graph`] directly. The pre-kernel
-//! sequential implementation is kept verbatim as [`analyze_baseline`] —
-//! the differential-testing reference the kernel is proven bit-identical
-//! against.
+//! Every analysis runs the one [`TimingGraph`] kernel: [`analyze`]
+//! builds the levelized graph and sink cache for the current netlist,
+//! [`analyze_with_graph`] reuses a graph and builds the cache, and
+//! [`analyze_cached`] reuses both. The kernel gathers the live cell ids,
+//! wire delays and net loads once, then runs its forward propagation
+//! and its required-time pass over flat arrays; this module seeds the
+//! endpoints and sources and turns the results into WNS, TNS and hold
+//! violations. The pre-kernel sequential implementation is kept
+//! verbatim as [`analyze_baseline`] — the differential-testing
+//! reference the kernel is proven bit-identical against, and the only
+//! other STA implementation.
 
 use crate::graph::{sink_ordinal, SinkCache, TimingGraph};
 use smt_base::units::{Cap, Time};
@@ -231,10 +234,17 @@ pub fn analyze_with_graph(
 }
 
 /// [`analyze_with_graph`] with a caller-held [`SinkCache`], for loops
-/// that re-analyze an *unchanged* netlist under several libraries (the
-/// per-corner probes of the assignment and signoff loops): the cache is
+/// that re-analyze one netlist under several libraries (the per-corner
+/// probes of the assignment and signoff loops): the cache is
 /// corner-invariant, so building it once amortizes the last per-call
-/// rediscovery cost.
+/// rediscovery cost. A caller that swaps cells between analyses keeps
+/// the cache current with [`SinkCache::mark`] and
+/// [`SinkCache::refresh`].
+///
+/// # Panics
+///
+/// Panics when the cache has marked nets that were not refreshed, or on
+/// a dangling [`PinRef`] (a stale cache).
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_cached(
     graph: &TimingGraph,
@@ -245,17 +255,15 @@ pub fn analyze_cached(
     config: &StaConfig,
     derating: &Derating,
 ) -> TimingReport {
-    let state = graph.propagate(netlist, lib, parasitics, config, derating, cache);
-    let (arrival, arrival_min, slew) = (state.arrival, state.arrival_min, state.slew);
+    let gathered = graph.gather(netlist, parasitics, cache);
+    let nets = graph.propagate(netlist, lib, config, derating, &gathered);
     let nn = netlist.num_nets();
     let wire_of = |net: NetId, pr: PinRef| {
         let ord = graph.ordinal(cache, pr);
         parasitics.net(net).elmore(ord)
     };
 
-    // Required times: endpoints then backward propagation in reverse
-    // level order (every load of a net sits at a strictly higher level
-    // than its driver, so each `required` read is final).
+    // Required times: endpoints, then the kernel's backward pass.
     let endpoint_req = config.clock_period - config.clock_skew;
     let mut required = vec![Time::new(f64::INFINITY); nn];
     for (_, port) in netlist.ports() {
@@ -277,36 +285,7 @@ pub fn analyze_cached(
             }
         }
     }
-    for &id in graph.order().iter().rev() {
-        let inst = netlist.inst(id);
-        let cell = lib.cell(inst.cell);
-        let Some(op) = graph.cells.out_pin(inst.cell) else {
-            continue;
-        };
-        let Some(onet) = inst.net_on(op) else {
-            continue;
-        };
-        let out_req = required[onet.index()];
-        if !out_req.is_finite() {
-            continue;
-        }
-        let load = cache.static_load(onet) + parasitics.net(onet).wire_cap;
-        for &pin in graph.cells.inputs(inst.cell) {
-            let pin = pin as usize;
-            let Some(inet) = inst.net_on(pin) else {
-                continue;
-            };
-            let Some(arc_idx) = graph.cells.arc_idx(inst.cell, pin) else {
-                continue;
-            };
-            let arc = &cell.arcs[arc_idx];
-            let wire = wire_of(inet, PinRef { inst: id, pin });
-            let d = arc.delay(slew[inet.index()], load) * derating.factor(id);
-            let r = out_req - d - wire;
-            let i = inet.index();
-            required[i] = required[i].min(r);
-        }
-    }
+    graph.propagate_required(lib, derating, &gathered, &nets, &mut required);
     // Unconstrained nets: give them the endpoint requirement so slack is
     // defined (large positive).
     for r in required.iter_mut() {
@@ -327,7 +306,7 @@ pub fn analyze_cached(
     for (_, port) in netlist.ports() {
         if port.dir == PortDir::Output {
             let i = port.net.index();
-            consider(required[i] - arrival[i]);
+            consider(required[i] - nets[i].at);
         }
     }
     for &id in graph.ffs() {
@@ -336,7 +315,7 @@ pub fn analyze_cached(
         if let Some(dp) = graph.cells.d_pin(inst.cell) {
             if let Some(dnet) = inst.net_on(dp) {
                 let wire = wire_of(dnet, PinRef { inst: id, pin: dp });
-                let at = arrival[dnet.index()] + wire;
+                let at = nets[dnet.index()].at + wire;
                 let req = endpoint_req - cell.setup;
                 consider(req - at);
             }
@@ -358,7 +337,7 @@ pub fn analyze_cached(
             continue;
         };
         let wire = wire_of(dnet, PinRef { inst: id, pin: dp });
-        let mut at_min = arrival_min[dnet.index()];
+        let mut at_min = nets[dnet.index()].at_min;
         if !at_min.is_finite() {
             at_min = Time::ZERO;
         }
@@ -374,9 +353,9 @@ pub fn analyze_cached(
     }
 
     TimingReport {
-        arrival,
-        arrival_min,
-        slew,
+        arrival: nets.iter().map(|t| t.at).collect(),
+        arrival_min: nets.iter().map(|t| t.at_min).collect(),
+        slew: nets.iter().map(|t| t.slew).collect(),
         required,
         wns,
         tns,

@@ -1,59 +1,73 @@
-//! The shared levelized timing-graph kernel: the one STA engine behind
+//! The levelized timing-graph kernel: the one STA engine behind
 //! [`analyze`](crate::analysis::analyze),
 //! [`analyze_with_graph`](crate::analysis::analyze_with_graph) and
 //! [`analyze_cached`](crate::analysis::analyze_cached).
 //!
-//! The pre-kernel analysis rediscovered the same facts on every
-//! propagation step: the sink ordinal of each input pin (a linear scan of
-//! its net's load list) and the capacitive load of each net (a fresh sum
-//! over its sinks). Both scans are `O(fanout)`, which makes arrival
-//! propagation quadratic in fanout and dominates the Fig. 4 optimisation
-//! loops that call timing thousands of times.
+//! A [`TimingGraph`] is built **once per netlist topology**. It holds, in
+//! flat arrays, the facts every analysis would otherwise rediscover per
+//! instance, and that corner libraries never change (corner derates move
+//! timing numbers, never pin lists):
 //!
-//! A [`TimingGraph`] is built **once per netlist topology** and holds the
-//! parts that are expensive to rediscover and invariant across corner
-//! libraries (corner derates move timing numbers, never pin lists):
-//!
-//! * CSR-style levelized adjacency: the combinational core in
-//!   level-major order, with per-level offsets, so propagation can walk
-//!   level by level — and fan a wide level out on the shared
-//!   [`parallel_map`] worker pool;
+//! * the combinational core in level-major order, with per-level
+//!   offsets, so propagation walks level by level and fans a wide level
+//!   out on the shared [`parallel_map`] worker pool;
+//! * for each instance in that order, its output net and a CSR list of
+//!   its connected logic-input pins, each as `(pin, net, ordinal slot)`;
 //! * a CSR pin → sink-ordinal layout whose values (the same net → sink
 //!   rows [`Netlist::load_csr`] exports) live in the per-consumer
-//!   cache, replacing every per-edge `position()` scan with one array
-//!   read.
+//!   [`SinkCache`];
+//! * per-cell-type tables: logic inputs, output and `D` pins, the arc
+//!   each pin drives, and pin caps.
 //!
-//! The leaves that depend on the netlist's current state — per-net
-//! static pin loads and the sink-ordinal table — live in a
-//! [`SinkCache`]. Both are corner-invariant too, so a per-corner loop
-//! over an unchanged netlist shares one graph and one cache, while a
-//! caller that edits the netlist between analyses (the dual-Vth probes)
-//! rebuilds only the cache.
+//! Each analysis first gathers what its two passes read: the live cell
+//! id of every instance, the wire delay of every input pin, and the
+//! total load of every net. The forward propagation and the
+//! required-time pass then walk those arrays and the graph's, and keep
+//! each net's arrival, min arrival and slew side by side; neither pass
+//! chases a `Netlist`, `Parasitics` or pin-list pointer.
 //!
-//! Propagation over the graph is **bit-identical** to the legacy
-//! sequential propagation (see `tests/properties.rs`): instances within
-//! one level never read each other's outputs, every instance's inputs
-//! are finalized in strictly lower levels, and results are written back
-//! in deterministic item order regardless of worker count.
+//! The graph records connectivity, not cell choice. It serves the
+//! netlist it was built from and every netlist reached from it by
+//! same-pin cell swaps (Vth and drive variants), which change cell ids
+//! and the order of load lists but move no pin to another net. The
+//! leaves those swaps do change — per-net static pin loads and the
+//! sink-ordinal table — live in a [`SinkCache`]. Both are
+//! corner-invariant, so a per-corner loop over an unchanged netlist
+//! shares one graph and one cache. A caller that swaps cells between
+//! analyses (the Dual-Vth probes) marks the nets on the swapped pins and
+//! calls [`SinkCache::refresh`], which re-derives only those rows.
+//!
+//! Propagation is **bit-identical** to the legacy sequential walk kept
+//! as [`analyze_baseline`](crate::analysis::analyze_baseline) (see
+//! `tests/properties.rs`): it evaluates the same formulas in the same
+//! operation order, instances within one level never read each other's
+//! outputs, every instance's inputs are finalized in strictly lower
+//! levels, and results are written back in deterministic item order
+//! regardless of worker count.
 //!
 //! Dangling [`PinRef`]s — an instance pin that claims a net which does
-//! not list it as a load — are a **hard error** at cache-build and
-//! lookup time, never a silently wrong delay (the pre-kernel code
+//! not list it as a load — are a **hard error** at cache-build, refresh
+//! and lookup time, never a silently wrong delay (the pre-kernel code
 //! priced the *first* sink's Elmore delay instead, masking real slack
 //! violations).
 
 use crate::analysis::{Derating, StaConfig};
 use smt_base::par::parallel_map;
 use smt_base::units::{Cap, Time};
+use smt_cells::cell::CellId;
 use smt_cells::library::Library;
 use smt_netlist::check::RuleId;
 use smt_netlist::graph::{topo_order, CombinationalCycle};
 use smt_netlist::netlist::{InstId, Net, NetId, Netlist, PinRef, PortDir};
 use smt_route::Parasitics;
 use std::fmt;
+use std::ops::Range;
 
 /// Sentinel for "this pin is not a sink of any net".
 const NO_ORD: u32 = u32::MAX;
+
+/// Sentinel for "this instance drives no net".
+const NO_NET: u32 = u32::MAX;
 
 /// Structured form of the timing kernel's hard error: a connected input
 /// pin missing from its net's load list. Carries the same
@@ -140,16 +154,42 @@ fn dangling_lookup(pr: PinRef) -> ! {
     panic!("{}", DanglingPinRef { pin: pr, net: None })
 }
 
-/// Forward-propagation state over all nets: max/min arrivals and slews,
-/// indexed by `NetId::index()`.
-#[derive(Debug, Clone)]
-pub(crate) struct PropState {
-    /// Max arrival per net (at the driver pin, wire delay excluded).
-    pub arrival: Vec<Time>,
-    /// Min arrival per net (`+inf` for nets no timed source reaches).
-    pub arrival_min: Vec<Time>,
-    /// Slew per net.
-    pub slew: Vec<Time>,
+/// One connected logic-input pin of a combinational instance: the
+/// forward pass reads its net's timing through it, and the
+/// required-time pass writes its net's required time.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Pin index on the instance's cell.
+    pin: u32,
+    /// The net on the pin (`NetId::index()`).
+    net: u32,
+    /// The pin's slot in a [`SinkCache`]'s ordinal table.
+    slot: u32,
+}
+
+/// Forward-propagation state of one net, kept together because every
+/// input pin reads all three.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NetTiming {
+    /// Max arrival (at the driver pin, wire delay excluded).
+    pub at: Time,
+    /// Min arrival (`+inf` for nets no timed source reaches).
+    pub at_min: Time,
+    /// Slew.
+    pub slew: Time,
+}
+
+/// What one analysis reads per instance, per input pin and per net,
+/// gathered once from the netlist, the parasitics and the cache before
+/// the passes run.
+#[derive(Debug)]
+pub(crate) struct Gathered {
+    /// Live cell id per level-order slot.
+    cell: Vec<CellId>,
+    /// Wire (Elmore) delay to each edge's pin, in `edges` order.
+    wire: Vec<Time>,
+    /// Total load per net: static pin and port load plus wire cap.
+    load: Vec<Cap>,
 }
 
 /// The shared levelized timing kernel; see the module docs.
@@ -160,6 +200,13 @@ pub struct TimingGraph {
     /// Per-level offsets into `order`; level `l` is
     /// `order[level_start[l]..level_start[l + 1]]`.
     level_start: Vec<u32>,
+    /// Output net per `order` slot (`NO_NET` when the instance drives
+    /// none; such an instance also has no edges).
+    out_net: Vec<u32>,
+    /// CSR offsets into `edges`, per `order` slot.
+    edge_start: Vec<u32>,
+    /// Connected logic-input pins per `order` slot, in pin order.
+    edges: Vec<Edge>,
     /// CSR offsets of each instance slot's pin row in a [`SinkCache`]'s
     /// ordinal table (`pin_start.len() == inst_capacity + 1`).
     pin_start: Vec<u32>,
@@ -174,13 +221,10 @@ pub struct TimingGraph {
 }
 
 /// Flattened per-cell-*type* structure lookups, precomputed once at
-/// graph build: logic-input pin lists, output pins, `D` pins, and the
-/// arc index driven by each input pin. These replace a `Vec` allocation
-/// (`Cell::logic_input_pins`) and two linear scans (`Cell::arc_from`,
-/// `Cell::output_pin`) on *every* instance evaluation. They are
-/// functions of cell structure only, so they are corner-invariant and
-/// can never go stale under cell swaps — the instance → cell-id lookup
-/// stays live in the netlist.
+/// graph build: logic-input pin lists, output pins, `D` pins, the arc
+/// index driven by each input pin, and pin caps. They are functions of
+/// cell structure only, so they are corner-invariant and can never go
+/// stale under cell swaps; each analysis reads the live cell id.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CellTables {
     /// Output pin per cell (`u32::MAX` = none).
@@ -229,13 +273,13 @@ impl CellTables {
     }
 
     #[inline]
-    pub(crate) fn inputs(&self, cell: smt_cells::cell::CellId) -> &[u32] {
+    pub(crate) fn inputs(&self, cell: CellId) -> &[u32] {
         &self.in_pins
             [self.in_start[cell.index()] as usize..self.in_start[cell.index() + 1] as usize]
     }
 
     #[inline]
-    pub(crate) fn arc_idx(&self, cell: smt_cells::cell::CellId, pin: usize) -> Option<usize> {
+    pub(crate) fn arc_idx(&self, cell: CellId, pin: usize) -> Option<usize> {
         match self.pin_arc[self.pin_arc_start[cell.index()] as usize + pin] {
             u32::MAX => None,
             i => Some(i as usize),
@@ -243,7 +287,7 @@ impl CellTables {
     }
 
     #[inline]
-    pub(crate) fn out_pin(&self, cell: smt_cells::cell::CellId) -> Option<usize> {
+    pub(crate) fn out_pin(&self, cell: CellId) -> Option<usize> {
         match self.out_pin[cell.index()] {
             u32::MAX => None,
             p => Some(p as usize),
@@ -251,7 +295,7 @@ impl CellTables {
     }
 
     #[inline]
-    pub(crate) fn d_pin(&self, cell: smt_cells::cell::CellId) -> Option<usize> {
+    pub(crate) fn d_pin(&self, cell: CellId) -> Option<usize> {
         match self.d_pin[cell.index()] {
             u32::MAX => None,
             p => Some(p as usize),
@@ -261,7 +305,7 @@ impl CellTables {
     /// Input capacitance of one pin (same value as
     /// `lib.cell(cell).pins[pin].cap`).
     #[inline]
-    fn pin_cap(&self, cell: smt_cells::cell::CellId, pin: usize) -> Cap {
+    fn pin_cap(&self, cell: CellId, pin: usize) -> Cap {
         self.pin_cap[self.pin_arc_start[cell.index()] as usize + pin]
     }
 }
@@ -308,15 +352,40 @@ impl TimingGraph {
 
         // CSR pin rows: one slot per (instance, pin), tombstones
         // included so `InstId` indexes directly. The *layout* lives here
-        // (pin counts never change under topology-preserving edits); the
-        // ordinal values themselves are a [`SinkCache`] concern, derived
-        // from the current netlist so variant swaps that reorder load
-        // lists cannot leave a fresh cache stale.
+        // (pin counts never change under same-pin swaps); the ordinal
+        // values themselves are a [`SinkCache`] concern, derived from
+        // the current netlist because swaps reorder load lists.
         let mut pin_start = Vec::with_capacity(cap + 1);
         pin_start.push(0u32);
         for i in 0..cap {
             let n_pins = netlist.inst(InstId(i as u32)).conns.len() as u32;
             pin_start.push(pin_start.last().unwrap() + n_pins);
+        }
+
+        // Per level-order slot: the output net and the connected logic
+        // inputs. An instance that drives no net is never evaluated, so
+        // it records no edges.
+        let cells = CellTables::build(lib);
+        let mut out_net = Vec::with_capacity(order.len());
+        let mut edge_start = Vec::with_capacity(order.len() + 1);
+        edge_start.push(0u32);
+        let mut edges = Vec::new();
+        for &id in &order {
+            let inst = netlist.inst(id);
+            let onet = cells.out_pin(inst.cell).and_then(|p| inst.net_on(p));
+            out_net.push(onet.map_or(NO_NET, |n| n.0));
+            if onet.is_some() {
+                for &pin in cells.inputs(inst.cell) {
+                    if let Some(net) = inst.net_on(pin as usize) {
+                        edges.push(Edge {
+                            pin,
+                            net: net.0,
+                            slot: pin_start[id.index()] + pin,
+                        });
+                    }
+                }
+            }
+            edge_start.push(edges.len() as u32);
         }
 
         let ffs = netlist
@@ -328,8 +397,11 @@ impl TimingGraph {
         Ok(TimingGraph {
             order,
             level_start,
+            out_net,
+            edge_start,
+            edges,
             pin_start,
-            cells: CellTables::build(lib),
+            cells,
             ffs,
             num_nets: netlist.num_nets(),
         })
@@ -356,6 +428,12 @@ impl TimingGraph {
         &self.order
     }
 
+    /// The edges of one level-order slot, as a range into `edges`.
+    #[inline]
+    fn edge_range(&self, slot: usize) -> Range<usize> {
+        self.edge_start[slot] as usize..self.edge_start[slot + 1] as usize
+    }
+
     /// Builds the per-consumer cache: per-net static pin loads and the
     /// sink-ordinal table, derived from (and validated against) the
     /// *current* netlist. Pin caps come from the graph's cell tables —
@@ -378,49 +456,70 @@ impl TimingGraph {
     pub fn try_build_cache(&self, netlist: &Netlist) -> Result<SinkCache, DanglingPinRef> {
         let mut cache = SinkCache {
             ord: vec![NO_ORD; *self.pin_start.last().unwrap() as usize],
-            load: Vec::with_capacity(self.num_nets),
+            load: Vec::with_capacity(netlist.num_nets()),
+            stale: Vec::new(),
+            marked: vec![false; netlist.num_nets()],
         };
         // One fused zero-copy pass over every net's load row (the same
         // rows `Netlist::load_csr` exports, which the structural lint
-        // cross-validates): sink ordinals and the static load sum,
-        // accumulated in load-list order so the float sum matches a
-        // direct recomputation bit-for-bit.
+        // cross-validates).
         for (_, net) in netlist.nets() {
-            let mut pins = Cap::ZERO;
-            for (ord, pr) in net.loads.iter().enumerate() {
-                cache.ord[self.pin_start[pr.inst.index()] as usize + pr.pin] = ord as u32;
-                pins += self.cells.pin_cap(netlist.inst(pr.inst).cell, pr.pin);
-            }
-            cache
-                .load
-                .push(pins + Cap::new(2.0 * net.port_loads.len() as f64));
+            let load = self.derive_row(&mut cache.ord, netlist, net);
+            cache.load.push(load);
         }
         // Validate every pin whose ordinal timing will query — logic
-        // inputs and FF `D` pins: each must be a load of the net it
-        // claims, at the ordinal the cache holds.
-        let check = |pin: usize, id: InstId, inst: &smt_netlist::netlist::Instance| {
-            let Some(net) = inst.net_on(pin) else {
-                return Ok(());
-            };
-            let pr = PinRef { inst: id, pin };
-            let ord = cache.ord[self.pin_start[id.index()] as usize + pin];
-            if ord == NO_ORD || netlist.net(net).loads.get(ord as usize) != Some(&pr) {
-                return Err(DanglingPinRef {
-                    pin: pr,
-                    net: Some(netlist.net(net).name.clone()),
-                });
-            }
-            Ok(())
-        };
+        // inputs and FF `D` pins.
         for (id, inst) in netlist.instances() {
             for &pin in self.cells.inputs(inst.cell) {
-                check(pin as usize, id, inst)?;
+                self.check_pin(
+                    &cache,
+                    netlist,
+                    PinRef {
+                        inst: id,
+                        pin: pin as usize,
+                    },
+                )?;
             }
             if let Some(dp) = self.cells.d_pin(inst.cell) {
-                check(dp, id, inst)?;
+                self.check_pin(&cache, netlist, PinRef { inst: id, pin: dp })?;
             }
         }
         Ok(cache)
+    }
+
+    /// Derives one net's cache row: writes each sink's ordinal into
+    /// `ord` and returns the net's static load, accumulated in load-list
+    /// order so the float sum matches a direct recomputation bit for
+    /// bit. [`TimingGraph::build_cache`] and [`SinkCache::refresh`]
+    /// both derive rows here.
+    fn derive_row(&self, ord: &mut [u32], netlist: &Netlist, net: &Net) -> Cap {
+        let mut pins = Cap::ZERO;
+        for (k, pr) in net.loads.iter().enumerate() {
+            ord[self.pin_start[pr.inst.index()] as usize + pr.pin] = k as u32;
+            pins += self.cells.pin_cap(netlist.inst(pr.inst).cell, pr.pin);
+        }
+        pins + Cap::new(2.0 * net.port_loads.len() as f64)
+    }
+
+    /// The cache's consistency check for one pin: a connected pin must
+    /// be a load of the net it claims, at the ordinal the cache holds.
+    fn check_pin(
+        &self,
+        cache: &SinkCache,
+        netlist: &Netlist,
+        pr: PinRef,
+    ) -> Result<(), DanglingPinRef> {
+        let Some(net) = netlist.inst(pr.inst).net_on(pr.pin) else {
+            return Ok(());
+        };
+        let ord = cache.ord[self.pin_start[pr.inst.index()] as usize + pr.pin];
+        if ord == NO_ORD || netlist.net(net).loads.get(ord as usize) != Some(&pr) {
+            return Err(DanglingPinRef {
+                pin: pr,
+                net: Some(netlist.net(net).name.clone()),
+            });
+        }
+        Ok(())
     }
 
     /// Sink ordinal of an input pin from the per-consumer cache.
@@ -438,77 +537,120 @@ impl TimingGraph {
         ord as usize
     }
 
-    /// Evaluates one instance's output arrival/slew from the given
-    /// propagation state — the one delay formula every consumer shares.
-    /// Returns `(net, arrival, arrival_min, slew)`, or `None` for cells
-    /// without a timed output.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_inst(
+    /// Gathers what one analysis reads: the live cell of every
+    /// level-order slot, the wire delay to every edge's pin, and every
+    /// net's total load (static load plus wire cap).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cache has rows marked but not refreshed, or when
+    /// an edge's pin has no ordinal (a stale cache).
+    pub(crate) fn gather(
         &self,
         netlist: &Netlist,
-        lib: &Library,
         parasitics: &Parasitics,
+        cache: &SinkCache,
+    ) -> Gathered {
+        assert!(
+            cache.stale.is_empty(),
+            "SinkCache has marked nets: refresh it before analysing"
+        );
+        let mut cell = Vec::with_capacity(self.order.len());
+        let mut wire = Vec::with_capacity(self.edges.len());
+        for (slot, &id) in self.order.iter().enumerate() {
+            cell.push(netlist.inst(id).cell);
+            for e in &self.edges[self.edge_range(slot)] {
+                let ord = cache.ord[e.slot as usize];
+                if ord == NO_ORD {
+                    dangling_lookup(PinRef {
+                        inst: id,
+                        pin: e.pin as usize,
+                    });
+                }
+                wire.push(parasitics.net(NetId(e.net)).elmore(ord as usize));
+            }
+        }
+        let load = cache
+            .load
+            .iter()
+            .enumerate()
+            .map(|(net, &pins)| pins + parasitics.net(NetId(net as u32)).wire_cap)
+            .collect();
+        Gathered { cell, wire, load }
+    }
+
+    /// Evaluates the instance at one level-order slot: its output net
+    /// and that net's arrival, min arrival and slew, or `None` when it
+    /// drives no net or no input has an arc. The one delay formula every
+    /// consumer shares.
+    #[inline]
+    fn eval(
+        &self,
+        lib: &Library,
         derating: &Derating,
         source_slew: Time,
-        cache: &SinkCache,
-        state: &PropState,
-        id: InstId,
-    ) -> Option<(NetId, Time, Time, Time)> {
-        let inst = netlist.inst(id);
-        let cell = lib.cell(inst.cell);
-        let onet = inst.net_on(self.cells.out_pin(inst.cell)?)?;
-        let load = cache.load[onet.index()] + parasitics.net(onet).wire_cap;
+        g: &Gathered,
+        nets: &[NetTiming],
+        slot: usize,
+    ) -> Option<(usize, NetTiming)> {
+        let onet = self.out_net[slot];
+        if onet == NO_NET {
+            return None;
+        }
+        let cell_id = g.cell[slot];
+        let cell = lib.cell(cell_id);
+        let load = g.load[onet as usize];
+        let factor = derating.factor(self.order[slot]);
         let mut best = Time::ZERO;
         let mut best_min = Time::new(f64::INFINITY);
         let mut best_slew = source_slew;
         let mut any_input = false;
-        let pin_row = self.pin_start[id.index()] as usize;
-        for &pin in self.cells.inputs(inst.cell) {
-            let pin = pin as usize;
-            let Some(inet) = inst.net_on(pin) else {
-                continue;
-            };
-            let Some(arc_idx) = self.cells.arc_idx(inst.cell, pin) else {
+        for e in self.edge_range(slot) {
+            let edge = self.edges[e];
+            let Some(arc_idx) = self.cells.arc_idx(cell_id, edge.pin as usize) else {
                 continue;
             };
             let arc = &cell.arcs[arc_idx];
             any_input = true;
-            let ord = cache.ord[pin_row + pin];
-            if ord == NO_ORD {
-                dangling_lookup(PinRef { inst: id, pin });
-            }
-            let ord = ord as usize;
-            let wire = parasitics.net(inet).elmore(ord);
-            let at = state.arrival[inet.index()] + wire;
-            let at_min = state.arrival_min[inet.index()] + wire;
-            let d = arc.delay(state.slew[inet.index()], load) * derating.factor(id);
+            let wire = g.wire[e];
+            let input = nets[edge.net as usize];
+            let at = input.at + wire;
+            let at_min = input.at_min + wire;
+            let d = arc.delay(input.slew, load) * factor;
             if at + d > best {
                 best = at + d;
                 best_slew = arc.output_slew(load);
             }
             best_min = best_min.min(at_min + d);
         }
-        any_input.then_some((onet, best, best_min, best_slew))
+        any_input.then_some((
+            onet as usize,
+            NetTiming {
+                at: best,
+                at_min: best_min,
+                slew: best_slew,
+            },
+        ))
     }
 
     /// Seeds timing sources — primary inputs and flip-flop `Q` pins —
     /// into a fresh propagation state.
-    #[allow(clippy::too_many_arguments)]
     fn seed_sources(
         &self,
         netlist: &Netlist,
         lib: &Library,
-        parasitics: &Parasitics,
         config: &StaConfig,
         derating: &Derating,
-        cache: &SinkCache,
-        state: &mut PropState,
+        g: &Gathered,
+        nets: &mut [NetTiming],
     ) {
         for (_, port) in netlist.ports() {
             if port.dir == PortDir::Input {
-                state.arrival[port.net.index()] = config.input_delay;
-                state.arrival_min[port.net.index()] = config.input_delay;
-                state.slew[port.net.index()] = config.source_slew;
+                nets[port.net.index()] = NetTiming {
+                    at: config.input_delay,
+                    at_min: config.input_delay,
+                    slew: config.source_slew,
+                };
             }
         }
         for &id in &self.ffs {
@@ -520,12 +662,14 @@ impl TimingGraph {
             let Some(qnet) = inst.net_on(qp) else {
                 continue;
             };
-            let load = cache.load[qnet.index()] + parasitics.net(qnet).wire_cap;
+            let load = g.load[qnet.index()];
             if let Some(arc) = cell.arcs.first() {
                 let d = arc.delay(config.source_slew, load) * derating.factor(id);
-                state.arrival[qnet.index()] = d;
-                state.arrival_min[qnet.index()] = d;
-                state.slew[qnet.index()] = arc.output_slew(load);
+                nets[qnet.index()] = NetTiming {
+                    at: d,
+                    at_min: d,
+                    slew: arc.output_slew(load),
+                };
             }
         }
     }
@@ -544,59 +688,80 @@ impl TimingGraph {
         &self,
         netlist: &Netlist,
         lib: &Library,
-        parasitics: &Parasitics,
         config: &StaConfig,
         derating: &Derating,
-        cache: &SinkCache,
-    ) -> PropState {
-        let mut state = PropState {
-            arrival: vec![Time::ZERO; self.num_nets],
-            arrival_min: vec![Time::new(f64::INFINITY); self.num_nets],
-            slew: vec![config.source_slew; self.num_nets],
-        };
-        self.seed_sources(
-            netlist, lib, parasitics, config, derating, cache, &mut state,
-        );
+        g: &Gathered,
+    ) -> Vec<NetTiming> {
+        let mut nets = vec![
+            NetTiming {
+                at: Time::ZERO,
+                at_min: Time::new(f64::INFINITY),
+                slew: config.source_slew,
+            };
+            self.num_nets
+        ];
+        self.seed_sources(netlist, lib, config, derating, g, &mut nets);
+        let source_slew = config.source_slew;
         for level in 0..self.num_levels() {
-            let insts = self.level_insts(level);
-            if insts.len() >= PARALLEL_LEVEL_WIDTH {
-                let results = parallel_map(insts, 0, |&id| {
-                    self.eval_inst(
-                        netlist,
-                        lib,
-                        parasitics,
-                        derating,
-                        config.source_slew,
-                        cache,
-                        &state,
-                        id,
-                    )
+            let slots = self.level_start[level] as usize..self.level_start[level + 1] as usize;
+            if slots.len() >= PARALLEL_LEVEL_WIDTH {
+                let slots: Vec<usize> = slots.collect();
+                let results = parallel_map(&slots, 0, |&slot| {
+                    self.eval(lib, derating, source_slew, g, &nets, slot)
                 });
-                for (net, at, at_min, sl) in results.into_iter().flatten() {
-                    state.arrival[net.index()] = at;
-                    state.arrival_min[net.index()] = at_min;
-                    state.slew[net.index()] = sl;
+                for (net, timing) in results.into_iter().flatten() {
+                    nets[net] = timing;
                 }
             } else {
-                for &id in insts {
-                    if let Some((net, at, at_min, sl)) = self.eval_inst(
-                        netlist,
-                        lib,
-                        parasitics,
-                        derating,
-                        config.source_slew,
-                        cache,
-                        &state,
-                        id,
-                    ) {
-                        state.arrival[net.index()] = at;
-                        state.arrival_min[net.index()] = at_min;
-                        state.slew[net.index()] = sl;
+                for slot in slots {
+                    if let Some((net, timing)) =
+                        self.eval(lib, derating, source_slew, g, &nets, slot)
+                    {
+                        nets[net] = timing;
                     }
                 }
             }
         }
-        state
+        nets
+    }
+
+    /// The required-time pass over the combinational core: walks the
+    /// level order backwards (every load of a net sits at a strictly
+    /// higher level than its driver, so each `required` read is final)
+    /// and lowers each input net's required time through each arc.
+    /// `required` arrives holding the endpoint requirements.
+    pub(crate) fn propagate_required(
+        &self,
+        lib: &Library,
+        derating: &Derating,
+        g: &Gathered,
+        nets: &[NetTiming],
+        required: &mut [Time],
+    ) {
+        for slot in (0..self.order.len()).rev() {
+            let onet = self.out_net[slot];
+            if onet == NO_NET {
+                continue;
+            }
+            let out_req = required[onet as usize];
+            if !out_req.is_finite() {
+                continue;
+            }
+            let cell_id = g.cell[slot];
+            let cell = lib.cell(cell_id);
+            let load = g.load[onet as usize];
+            let factor = derating.factor(self.order[slot]);
+            for e in self.edge_range(slot) {
+                let edge = self.edges[e];
+                let Some(arc_idx) = self.cells.arc_idx(cell_id, edge.pin as usize) else {
+                    continue;
+                };
+                let d = cell.arcs[arc_idx].delay(nets[edge.net as usize].slew, load) * factor;
+                let r = out_req - d - g.wire[e];
+                let i = edge.net as usize;
+                required[i] = required[i].min(r);
+            }
+        }
     }
 }
 
@@ -604,16 +769,26 @@ impl TimingGraph {
 /// static loads (sink pin caps + port pad caps, wire cap excluded) and
 /// the sink-ordinal table. It is corner-invariant, so one cache serves
 /// every corner library of an unchanged netlist
-/// ([`analyze_cached`](crate::analysis::analyze_cached)). A netlist edit
-/// can reorder load lists, so after one the caller derives a fresh cache
-/// with [`TimingGraph::build_cache`].
-#[derive(Debug, Clone)]
+/// ([`analyze_cached`](crate::analysis::analyze_cached)).
+///
+/// A same-pin cell swap changes the pin caps of the swapped instance's
+/// input nets and, through [`Netlist::replace_cell`], moves its pins to
+/// the end of their load lists, shifting the ordinals of the other sinks
+/// there. A caller that keeps one cache across such swaps
+/// [`mark`](SinkCache::mark)s those nets and calls
+/// [`refresh`](SinkCache::refresh) before the next analysis; every other
+/// edit needs a new graph and cache.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SinkCache {
     /// Sink ordinal per (instance, pin), CSR-indexed through the
     /// graph's `pin_start`.
     ord: Vec<u32>,
     /// Static load per net.
     load: Vec<Cap>,
+    /// Nets marked since the last refresh, each listed once.
+    stale: Vec<NetId>,
+    /// Per net: listed in `stale`.
+    marked: Vec<bool>,
 }
 
 impl SinkCache {
@@ -621,6 +796,44 @@ impl SinkCache {
     #[inline]
     pub fn static_load(&self, net: NetId) -> Cap {
         self.load[net.index()]
+    }
+
+    /// Marks a net's row for the next [`SinkCache::refresh`]: one of its
+    /// sinks changed cell, or its load list changed order. Analysing
+    /// with a marked row pending panics.
+    pub fn mark(&mut self, net: NetId) {
+        let flag = &mut self.marked[net.index()];
+        if !*flag {
+            *flag = true;
+            self.stale.push(net);
+        }
+    }
+
+    /// Re-derives the rows of the marked nets from the current netlist,
+    /// with the per-net loop of [`TimingGraph::build_cache`], so the
+    /// cache equals a freshly built one bit for bit. Then it checks every
+    /// pin it wrote the way `build_cache` checks pins.
+    ///
+    /// Valid only when every edit since the cache was built or last
+    /// refreshed was a same-pin cell swap whose input nets were marked.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dangling [`PinRef`] among the rewritten pins, like
+    /// [`TimingGraph::build_cache`].
+    pub fn refresh(&mut self, graph: &TimingGraph, netlist: &Netlist) {
+        for &net in &self.stale {
+            self.marked[net.index()] = false;
+            self.load[net.index()] = graph.derive_row(&mut self.ord, netlist, netlist.net(net));
+        }
+        for &net in &self.stale {
+            for &pr in &netlist.net(net).loads {
+                if let Err(e) = graph.check_pin(self, netlist, pr) {
+                    panic!("{e}");
+                }
+            }
+        }
+        self.stale.clear();
     }
 }
 
@@ -705,6 +918,27 @@ mod tests {
         assert_eq!(new.slew, old.slew);
         assert_eq!(new.required, old.required);
         assert_eq!(new.wns, old.wns);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh it before analysing")]
+    fn analysing_with_marked_nets_pending_panics() {
+        use crate::analysis::{analyze_cached, StaConfig};
+        let lib = Library::industrial_130nm();
+        let mut n = Netlist::new("marked");
+        let a = n.add_input("a");
+        let z = n.add_output("z");
+        let u = n.add_instance("u", lib.find_id("INV_X1_L").unwrap(), &lib);
+        n.connect_by_name(u, "A", a, &lib).unwrap();
+        n.connect_by_name(u, "Z", z, &lib).unwrap();
+        let graph = TimingGraph::build(&n, &lib).unwrap();
+        let mut cache = graph.build_cache(&n);
+        n.replace_cell(u, lib.find_id("INV_X1_H").unwrap(), &lib)
+            .unwrap();
+        cache.mark(a);
+        let par = Parasitics::default();
+        let cfg = StaConfig::default();
+        let _ = analyze_cached(&graph, &cache, &n, &lib, &par, &cfg, &Derating::none());
     }
 
     #[test]

@@ -15,14 +15,17 @@
 //!
 //! All analysis runs on one engine, the shared levelized
 //! [`TimingGraph`] kernel (see [`graph`]): built once per netlist
-//! topology, it precomputes CSR adjacency, levelization and per-sink
-//! Elmore ordinals, and runs a level-parallel forward propagation
-//! followed by the required-time pass. It is bit-identical to the
+//! topology, it records levelization, each instance's output net and
+//! connected inputs, and the per-sink Elmore ordinal layout in flat
+//! arrays, and runs a level-parallel forward propagation followed by
+//! the required-time pass over them. It is bit-identical to the
 //! retired sequential walk, kept as [`analyze_baseline`], the
 //! differential-testing oracle. [`analyze`] builds a fresh graph per
 //! call; repeated-analysis callers build the graph once and use
-//! [`analyze_with_graph`], and per-corner loops over an unchanged
-//! netlist also share one [`SinkCache`] through [`analyze_cached`].
+//! [`analyze_with_graph`], and per-corner loops also share one
+//! [`SinkCache`] through [`analyze_cached`] — across Vth swaps too,
+//! when the caller marks the swapped nets and calls
+//! [`SinkCache::refresh`].
 //!
 //! ```no_run
 //! use smt_cells::library::Library;

@@ -6,7 +6,7 @@
 //! platform.
 
 use selective_mt::base::SplitMix64;
-use selective_mt::cells::cell::VthClass;
+use selective_mt::cells::cell::{CellId, VthClass};
 use selective_mt::cells::library::Library;
 use selective_mt::circuits::gen::{random_logic, RandomLogicConfig};
 use selective_mt::core::smtgen::{
@@ -192,6 +192,42 @@ fn variant_swaps_preserve_structure() {
     }
 }
 
+/// The variant table answers exactly what a name lookup of
+/// `{base}_X{drive}_{suffix}` answered, for every cell and every Vth
+/// class, in the generated library and in its Liberty round trip; and
+/// `variant_of` agrees with it.
+#[test]
+fn variant_table_matches_the_name_lookup() {
+    use selective_mt::cells::liberty;
+    let generated = lib();
+    let parsed = liberty::parse(&liberty::write(&generated), generated.tech.clone()).unwrap();
+    for l in [&generated, &parsed] {
+        for (i, cell) in l.cells().iter().enumerate() {
+            let id = CellId(i as u32);
+            for vth in [
+                VthClass::Low,
+                VthClass::High,
+                VthClass::MtEmbedded,
+                VthClass::MtVgnd,
+            ] {
+                let name = format!("{}_X{}_{}", cell.kind.base_name(), cell.drive, vth.suffix());
+                assert_eq!(
+                    l.variant_id(id, vth),
+                    l.find_id(&name),
+                    "{} {vth}",
+                    cell.name
+                );
+                assert_eq!(
+                    l.variant_of(cell, vth).map(|c| &c.name),
+                    l.find(&name).map(|c| &c.name),
+                    "{} {vth}",
+                    cell.name
+                );
+            }
+        }
+    }
+}
+
 /// Steiner wirelength is sandwiched between the HPWL lower bound and
 /// the star-topology upper bound.
 #[test]
@@ -318,11 +354,56 @@ fn leakage_model_monotonicity() {
 /// sequential propagation on randomized netlists — including after Vth
 /// swaps (which reorder net load lists), with tombstoned instances, and
 /// across `Netlist::compact`, on both estimated and default parasitics.
+///
+/// A resident graph and sink cache follow a random sequence of L↔H
+/// swaps (flip-flops and repeated swaps of one cell included), as the
+/// Dual-Vth probes keep them: after each swap the marked cache rows are
+/// refreshed, and the cache must equal a fresh `build_cache` bit for
+/// bit, `analyze_cached` must equal `analyze_baseline` with and without
+/// a low-Vth derate, and the same-pin `replace_cell` must leave the
+/// netlist exactly as the general by-name rebind does.
 #[test]
 fn timing_graph_analysis_is_bit_identical_to_legacy() {
+    use selective_mt::cells::cell::{CellRole, PinDir};
+    use selective_mt::netlist::netlist::{InstId, Netlist};
     use selective_mt::place::{place, PlacerConfig};
     use selective_mt::route::Parasitics;
-    use selective_mt::sta::{analyze, analyze_baseline, Derating, StaConfig, TimingReport};
+    use selective_mt::sta::{
+        analyze, analyze_baseline, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport,
+    };
+
+    /// The general rebind of `replace_cell`, spelled out with public
+    /// primitives: every connected pin disconnected in pin order, the
+    /// cell swapped, then every pin reconnected by name in pin order.
+    fn rebind_by_name(n: &mut Netlist, lib: &Library, id: InstId, new_cell: CellId) {
+        let old = lib.cell(n.inst(id).cell);
+        let bindings: Vec<(String, _)> = n
+            .inst(id)
+            .conns
+            .iter()
+            .enumerate()
+            .filter_map(|(pin, conn)| conn.map(|net| (old.pins[pin].name.clone(), net)))
+            .collect();
+        for pin in 0..n.inst(id).conns.len() {
+            n.disconnect(id, pin);
+        }
+        n.replace_cell(id, new_cell, lib).unwrap();
+        for (name, net) in bindings {
+            n.connect_by_name(id, &name, net, lib).unwrap();
+        }
+    }
+
+    /// The Dual-Vth derating rule: `derate` on low-Vth logic.
+    fn low_vth_derating(n: &Netlist, lib: &Library, derate: f64) -> Derating {
+        let mut d = Derating::uniform(n);
+        for (id, inst) in n.instances() {
+            let cell = lib.cell(inst.cell);
+            if cell.vth == VthClass::Low && cell.role == CellRole::Logic {
+                d.set(id, derate);
+            }
+        }
+        d
+    }
 
     fn assert_same(seed: u64, tag: &str, a: &TimingReport, b: &TimingReport) {
         assert_eq!(a.arrival, b.arrival, "seed {seed} [{tag}]: arrival");
@@ -362,6 +443,80 @@ fn timing_graph_analysis_is_bit_identical_to_legacy() {
             new
         };
         fresh(&n, "fresh");
+
+        // A resident graph and cache across random L<->H swaps, on a copy
+        // so the sections below see the netlist as generated.
+        let mut m = n.clone();
+        let graph = TimingGraph::build(&m, &lib).unwrap();
+        let mut cache = graph.build_cache(&m);
+        let swappable: Vec<InstId> = m
+            .instances()
+            .filter(|(_, i)| {
+                let cell = lib.cell(i.cell);
+                cell.role == CellRole::Logic || cell.is_sequential()
+            })
+            .map(|(id, _)| id)
+            .collect();
+        assert!(
+            swappable
+                .iter()
+                .any(|&id| lib.cell(m.inst(id).cell).is_sequential()),
+            "seed {seed}: the swaps include flip-flops"
+        );
+        // Its own generator, so the netlists sampled above stay as they were.
+        let mut swaps = SplitMix64::new(0x5AA9 ^ seed);
+        let mut last = swappable[0];
+        for step in 0..32usize {
+            // One pick in four repeats the previous cell.
+            let id = if swaps.next_below(4) == 0 {
+                last
+            } else {
+                swappable[swaps.next_below(swappable.len())]
+            };
+            last = id;
+            let cell = m.inst(id).cell;
+            let want = if lib.cell(cell).vth == VthClass::Low {
+                VthClass::High
+            } else {
+                VthClass::Low
+            };
+            let target = lib.variant_id(cell, want).unwrap();
+            let mut general = m.clone();
+            rebind_by_name(&mut general, &lib, id, target);
+            m.replace_cell(id, target, &lib).unwrap();
+            assert_eq!(
+                m.fingerprint(),
+                general.fingerprint(),
+                "seed {seed} step {step}: same-pin swap vs general rebind"
+            );
+            let inst = m.inst(id);
+            for (conn, dir) in inst.conns.iter().zip(&inst.pin_dirs) {
+                if let (Some(net), PinDir::Input) = (conn, dir) {
+                    cache.mark(*net);
+                }
+            }
+            cache.refresh(&graph, &m);
+            let rebuilt = graph.build_cache(&m);
+            assert_eq!(cache, rebuilt, "seed {seed} step {step}: refreshed cache");
+            for (net, _) in m.nets() {
+                assert_eq!(
+                    cache.static_load(net).ff().to_bits(),
+                    rebuilt.static_load(net).ff().to_bits(),
+                    "seed {seed} step {step}: static load of {net}"
+                );
+            }
+            for derate in [1.0, 1.3] {
+                let der = if derate > 1.0 {
+                    low_vth_derating(&m, &lib, derate)
+                } else {
+                    Derating::none()
+                };
+                let resident = analyze_cached(&graph, &cache, &m, &lib, &par, &cfg, &der);
+                let old = analyze_baseline(&m, &lib, &par, &cfg, &der).unwrap();
+                let tag = format!("swap {step}, derate {derate}");
+                assert_same(seed, &tag, &resident, &old);
+            }
+        }
 
         // Vth swaps rebind pins, permuting load lists (and hence per-net
         // cap-sum order and sink ordinals).
