@@ -22,6 +22,14 @@
 //! window 128, seed 8000). Linear placement reads 1.0; the gate
 //! (`better: lower`) catches FM or annealing turning superlinear again.
 //!
+//! And **`anneal_cost_ratio`**: single-thread full placement time over
+//! single-thread bisection-only placement time (`anneal_moves_per_cell
+//! = 0`) of the standard suite's `fanout_b16_r48`, whose nets reach 769
+//! pins. Annealing prices a swap on cached net bounding boxes, so it
+//! adds about half the bisection time (ratio ~1.3-1.6); an annealer
+//! that walks every pin of every net on both cells per swap reads
+//! ~5.2. The gate (`better: lower`) catches a fallback to such walks.
+//!
 //! ```text
 //! cargo bench -p smt-bench --bench placement
 //! ```
@@ -125,5 +133,35 @@ fn main() {
     let scaling = per_cell[1] / per_cell[0].max(1e-12);
     println!("placement scaling: {scaling:.2}x per-cell time at 10x the gates");
     h.metric("placement_scaling", scaling);
+
+    // Annealing cost on high-fanout nets: full over bisection-only
+    // placement, both single-thread.
+    let fanout = standard_suite(SuiteScale::Standard)
+        .into_iter()
+        .find(|w| w.name == "fanout_b16_r48")
+        .expect("the standard suite has fanout_b16_r48");
+    let netlist = generate(&lib, &fanout.config).expect("standard configs are valid");
+    let bisect_only = PlacerConfig {
+        anneal_moves_per_cell: 0,
+        ..PlacerConfig::default()
+    };
+    let mut g = h.group("anneal_cost");
+    g.sample_size(5);
+    let mut time = |id: &str, config: &PlacerConfig| {
+        g.bench(id, || {
+            Placer::with_threads(&netlist, &lib, config, 1)
+                .expect("placer config is valid")
+                .placement()
+                .hpwl(&netlist)
+        })
+        .median
+        .as_secs_f64()
+    };
+    let full = time("fanout_b16_r48_full_threads1", &config);
+    let bisect = time("fanout_b16_r48_bisect_threads1", &bisect_only);
+    drop(g);
+    let ratio = full / bisect.max(1e-9);
+    println!("anneal cost: full placement takes {ratio:.2}x bisection alone");
+    h.metric("anneal_cost_ratio", ratio);
     h.finish();
 }

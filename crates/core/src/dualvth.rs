@@ -22,7 +22,7 @@
 //! transforms replace with MT-cells.
 
 use smt_base::units::Time;
-use smt_cells::cell::{Cell, CellId, CellRole, PinDir, VthClass};
+use smt_cells::cell::{Cell, CellId, CellRole, VthClass};
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
 use smt_route::Parasitics;
@@ -172,12 +172,7 @@ impl<'a> ProbeState<'a> {
             };
             self.derating.set(id, factor);
         }
-        let inst = netlist.inst(id);
-        for (conn, dir) in inst.conns.iter().zip(&inst.pin_dirs) {
-            if let (Some(net), PinDir::Input) = (conn, dir) {
-                self.cache.mark(*net);
-            }
-        }
+        self.cache.mark_inputs(netlist, id);
     }
 
     /// Runs STA at every corner library over the shared graph, cache

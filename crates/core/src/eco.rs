@@ -11,7 +11,7 @@ use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist, PinRef};
 use smt_place::Placement;
 use smt_route::{buffer_net, BufferingConfig, BufferingReport, Parasitics};
-use smt_sta::{analyze_cached, Derating, StaConfig, TimingGraph};
+use smt_sta::{analyze_cached, Derating, SinkCache, StaConfig, TimingGraph};
 
 /// Buffers the MTE net with always-on high-Vth buffers.
 ///
@@ -224,17 +224,18 @@ pub fn recover_setup_at_corners(
     use smt_sta::worst_path;
     assert!(!libs.is_empty(), "at least one corner library");
     let lib = libs[0];
-    // Built once for the whole recovery: every fix below is a same-pin
-    // variant/drive swap, so topology and levels never change. (A future
-    // fix that inserts cells must rebuild the graph.)
+    // Graph and sink cache are built once for the whole recovery: every
+    // fix below is a same-pin variant/drive swap, so topology and levels
+    // never change. Each swap marks the nets on its input pins, and each
+    // analysis first re-derives those cache rows. (A future fix that
+    // inserts cells must rebuild both.)
     let graph = TimingGraph::build(netlist, lib)?;
-    let worst_corner = |netlist: &Netlist| -> (usize, smt_sta::TimingReport) {
-        // Cache re-derived per probe (swaps permute load lists), shared
-        // across the corner libraries.
-        let cache = graph.build_cache(netlist);
+    let mut cache = graph.build_cache(netlist);
+    let worst_corner = |cache: &mut SinkCache, netlist: &Netlist| {
+        cache.refresh(&graph, netlist);
         let mut worst: Option<(usize, smt_sta::TimingReport)> = None;
         for (k, l) in libs.iter().enumerate() {
-            let t = analyze_cached(&graph, &cache, netlist, l, parasitics, sta_config, derating);
+            let t = analyze_cached(&graph, cache, netlist, l, parasitics, sta_config, derating);
             if worst.as_ref().map(|(_, w)| t.wns < w.wns).unwrap_or(true) {
                 worst = Some((k, t));
             }
@@ -243,7 +244,7 @@ pub fn recover_setup_at_corners(
     };
     let mut report = SetupFixReport::default();
     for _ in 0..max_rounds {
-        let (k, timing) = worst_corner(netlist);
+        let (k, timing) = worst_corner(&mut cache, netlist);
         report.final_wns_ps = timing.wns.ps();
         if timing.setup_met() {
             return Ok(report);
@@ -258,6 +259,7 @@ pub fn recover_setup_at_corners(
             if cell.vth == VthClass::High {
                 if let Some(low) = lib.variant_id(netlist.inst(inst).cell, VthClass::Low) {
                     netlist.replace_cell(inst, low, lib).expect("variant swap");
+                    cache.mark_inputs(netlist, inst);
                     report.vth_downgrades += 1;
                     report.touched.push(inst);
                     changed += 1;
@@ -272,6 +274,7 @@ pub fn recover_setup_at_corners(
                 );
                 if let Some(bigger) = lib.find_id(&name) {
                     netlist.replace_cell(inst, bigger, lib).expect("drive swap");
+                    cache.mark_inputs(netlist, inst);
                     report.upsizes += 1;
                     report.touched.push(inst);
                     changed += 1;
@@ -285,7 +288,7 @@ pub fn recover_setup_at_corners(
             break;
         }
     }
-    let (_, timing) = worst_corner(netlist);
+    let (_, timing) = worst_corner(&mut cache, netlist);
     report.final_wns_ps = timing.wns.ps();
     Ok(report)
 }
@@ -390,6 +393,74 @@ mod tests {
         assert!(report.vth_downgrades > 0, "{report:?}");
         let after = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
         assert!(after.setup_met(), "wns {} after {report:?}", after.wns);
+    }
+
+    #[test]
+    fn multi_round_two_corner_recovery_is_pinned() {
+        // An all-high-Vth random design under a clock it misses at the
+        // slow corner: recovery runs several rounds against two corner
+        // libraries, swapping cells between analyses on one kept graph
+        // and sink cache. The report and the netlist it leaves are
+        // pinned; any drift in the swaps or in the timing they saw moves
+        // them.
+        use smt_base::Fnv64;
+        use smt_cells::corner::{Corner, CornerLibrary};
+        use smt_circuits::gen::{random_logic, RandomLogicConfig};
+        let lib = lib();
+        let mut n = random_logic(
+            &lib,
+            &RandomLogicConfig {
+                gates: 400,
+                seed: 9,
+                ..RandomLogicConfig::default()
+            },
+        )
+        .expect("valid random_logic config");
+        let ids: Vec<InstId> = n.instances().map(|(id, _)| id).collect();
+        for id in ids {
+            if let Some(high) = lib.variant_id(n.inst(id).cell, VthClass::High) {
+                n.replace_cell(id, high, &lib).expect("variant swap");
+            }
+        }
+        let p = place(&n, &lib, &PlacerConfig::default());
+        let par = Parasitics::estimate(&n, &lib, &p);
+        let slow = CornerLibrary::build(&lib, Corner::slow());
+        let probe = analyze(
+            &n,
+            &slow.lib,
+            &par,
+            &StaConfig {
+                clock_period: Time::from_ns(100.0),
+                ..StaConfig::default()
+            },
+            &Derating::none(),
+        )
+        .unwrap();
+        let cfg = StaConfig {
+            clock_period: (Time::from_ns(100.0) - probe.wns) * 0.8,
+            ..StaConfig::default()
+        };
+        let libs = [&lib, &slow.lib];
+        let report =
+            recover_setup_at_corners(&mut n, &libs, &par, &cfg, &Derating::none(), 20).unwrap();
+        assert!(report.touched.len() > 12, "one round only: {report:?}");
+        let mut touched = Fnv64::new();
+        for id in &report.touched {
+            touched.write_u64(id.index() as u64);
+        }
+        let got = format!(
+            "{} {} {:016x} {} {:016x} {:016x}",
+            report.vth_downgrades,
+            report.upsizes,
+            report.final_wns_ps.to_bits(),
+            report.touched.len(),
+            touched.finish(),
+            n.fingerprint()
+        );
+        assert_eq!(
+            got,
+            "55 17 40562c76d8f60f80 72 749ddff78550b8e0 f22169d7dd9d8cec"
+        );
     }
 
     #[test]

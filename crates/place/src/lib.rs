@@ -7,7 +7,8 @@
 //! * [`mod@place`] — parallel recursive-bisection global placement,
 //!   Tetris row legalization, and region-windowed simulated-annealing
 //!   refinement (equal-footprint swaps keep the placement legal by
-//!   construction), behind the incremental [`Placer`] session type
+//!   construction; each swap is priced on cached net bounding boxes),
+//!   behind the incremental [`Placer`] session type
 //!   (the flow places each design once and carries the `Placer` in its
 //!   checkpoints, so every later stage and what-if fork edits that
 //!   placement instead of re-placing);

@@ -14,6 +14,15 @@
 //! a fixed seed at *any* thread count: every region and window carries
 //! its own seed, workers never share mutable state, and results are
 //! committed in item order.
+//!
+//! Annealing prices each swap on cached net bounding boxes. Every window
+//! builds one flat table of the nets its members touch (each net's
+//! instance slots in CSR order, plus the fixed box of its port pins) and
+//! keeps each net's box and HPWL across swaps, so a swap costs the nets
+//! of its two cells rather than their pins; only a net whose box edge the
+//! moved cell sat on is rescanned. Placements are bit-identical to a loop
+//! that recomputes every touched net's HPWL from the placement on every
+//! swap, which the tests keep as the oracle `reference_anneal_one`.
 
 use crate::fm::{bipartition, FmConfig, Hypergraph};
 use smt_base::geom::{Point, Rect};
@@ -814,8 +823,17 @@ fn anneal_windows(
 
 /// One simulated-annealing chain over equal-footprint position swaps
 /// among `members` (dense indices). Keeps the placement legal by
-/// construction. This is the original global annealing loop, seeded and
-/// scoped per window.
+/// construction. Seeded and scoped per window.
+///
+/// A swap is priced on the window's [`WindowNets`] table instead of by
+/// walking every pin of every net on both cells: `before` sums the
+/// cached HPWLs, and each touched net's new bounding box is derived in
+/// O(1) unless the moved cell sat on that box's edge. The swap visits
+/// the same nets in the same order (the sorted union of both cells'
+/// nets), and every cached box is the min/max over the points
+/// [`Placement::net_bbox`] visits, so each move sees the same `delta`,
+/// draws the same random numbers and makes the same choice as a loop
+/// that recomputes every net's HPWL from the placement.
 #[allow(clippy::too_many_arguments)]
 fn anneal_one(
     netlist: &Netlist,
@@ -841,18 +859,9 @@ fn anneal_one(
         return;
     }
 
-    // Cost of all nets touching an instance.
-    let inst_nets = |inst: InstId| -> Vec<NetId> {
-        let i = netlist.inst(inst);
-        let mut v: Vec<NetId> = i.conns.iter().flatten().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    // Built once per window; a swap costs the union of both members'
-    // lists, gathered in one reused buffer.
-    let member_nets: Vec<Vec<NetId>> = members.iter().map(|&d| inst_nets(insts[d])).collect();
-    let mut nets: Vec<NetId> = Vec::new();
+    let mut table = WindowNets::new(netlist, insts, members, placement);
+    // The new boxes of the nets a swap changes, committed on accept.
+    let mut next: Vec<(u32, Rect, f64)> = Vec::new();
 
     let mut temp = temp0;
     let cooling = (0.02f64).powf(1.0 / moves.max(1) as f64);
@@ -865,21 +874,213 @@ fn anneal_one(
             temp *= cooling;
             continue;
         }
-        let (ia, ib) = (insts[members[a]], insts[members[b]]);
-        nets.clear();
-        nets.extend_from_slice(&member_nets[a]);
-        nets.extend_from_slice(&member_nets[b]);
-        nets.sort_unstable();
-        nets.dedup();
-        let before: f64 = nets.iter().map(|&n| placement.net_hpwl(netlist, n)).sum();
-        placement.locs.swap(ia.index(), ib.index());
-        let after: f64 = nets.iter().map(|&n| placement.net_hpwl(netlist, n)).sum();
+        let (sa, sb) = (insts[members[a]].index(), insts[members[b]].index());
+        let (pa, pb) = (placement.locs[sa], placement.locs[sb]);
+        placement.locs.swap(sa, sb);
+        // Walk the sorted union of both members' nets: a net on both
+        // keeps its box (the swap only permutes its points); a net on
+        // one sees that member move to the other's old location.
+        let (na, nb) = (table.nets_of(a), table.nets_of(b));
+        let (mut i, mut j) = (0, 0);
+        let (mut before, mut after) = (0.0, 0.0);
+        next.clear();
+        loop {
+            let (net, moved) = match (na.get(i), nb.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    (x, None)
+                }
+                (Some(&x), Some(&y)) if x < y => {
+                    i += 1;
+                    (x, Some((pa, pb)))
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    (x, Some((pa, pb)))
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    (y, Some((pb, pa)))
+                }
+                (None, None) => break,
+            };
+            let old = table.hpwl[net as usize];
+            before += old;
+            match moved {
+                None => {
+                    #[cfg(test)]
+                    box_updates::bump(box_updates::SHARED);
+                    after += old;
+                }
+                Some((from, to)) => {
+                    let bbox = table.moved_box(net as usize, from, to, &placement.locs);
+                    let hpwl = bbox.half_perimeter();
+                    after += hpwl;
+                    next.push((net, bbox, hpwl));
+                }
+            }
+        }
         let delta = after - before;
         let accept = delta <= 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp();
-        if !accept {
-            placement.locs.swap(ia.index(), ib.index());
+        if accept {
+            for &(net, bbox, hpwl) in &next {
+                table.bbox[net as usize] = bbox;
+                table.hpwl[net as usize] = hpwl;
+            }
+        } else {
+            placement.locs.swap(sa, sb);
         }
         temp *= cooling;
+    }
+}
+
+/// The nets one annealing window's members touch, in one flat table,
+/// with each net's bounding box and HPWL cached across swaps. Nets are
+/// numbered locally in `NetId` order, so a member's ascending local net
+/// list is its sorted `NetId` list.
+struct WindowNets {
+    /// Per member: its nets, `member_net[member_start[k]..member_start[k + 1]]`.
+    member_start: Vec<u32>,
+    member_net: Vec<u32>,
+    /// Per net: the placement slots of its instance pins (driver, then
+    /// loads), `pin_slot[pin_start[n]..pin_start[n + 1]]`.
+    pin_start: Vec<u32>,
+    pin_slot: Vec<u32>,
+    /// Per net: the bounding box of its port pins, which never move
+    /// while annealing; inverted (`lo` = +∞, `hi` = −∞) without ports.
+    port_box: Vec<Rect>,
+    /// Per net: the cached bounding box of every pin, and its
+    /// half-perimeter.
+    bbox: Vec<Rect>,
+    hpwl: Vec<f64>,
+}
+
+impl WindowNets {
+    fn new(netlist: &Netlist, insts: &[InstId], members: &[usize], placement: &Placement) -> Self {
+        let mut member_start = Vec::with_capacity(members.len() + 1);
+        member_start.push(0);
+        let mut member_ids: Vec<NetId> = Vec::new();
+        let mut nets: Vec<NetId> = Vec::new();
+        for &d in members {
+            nets.clear();
+            nets.extend(netlist.inst(insts[d]).conns.iter().flatten());
+            nets.sort_unstable();
+            nets.dedup();
+            member_ids.extend_from_slice(&nets);
+            member_start.push(member_ids.len() as u32);
+        }
+        let mut ids = member_ids.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        let member_net = member_ids
+            .iter()
+            .map(|id| ids.partition_point(|x| x < id) as u32)
+            .collect();
+
+        let empty = Rect {
+            lo: Point::new(f64::INFINITY, f64::INFINITY),
+            hi: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        };
+        let mut pin_start = Vec::with_capacity(ids.len() + 1);
+        pin_start.push(0);
+        let mut pin_slot = Vec::new();
+        let mut port_box = Vec::with_capacity(ids.len());
+        for &id in &ids {
+            let net = netlist.net(id);
+            let mut ports = empty;
+            match net.driver {
+                Some(NetDriver::Inst(pr)) => pin_slot.push(pr.inst.index() as u32),
+                Some(NetDriver::Port(p)) => ports.expand(placement.port_loc(p)),
+                None => {}
+            }
+            pin_slot.extend(net.loads.iter().map(|pr| pr.inst.index() as u32));
+            for &p in &net.port_loads {
+                ports.expand(placement.port_loc(p));
+            }
+            pin_start.push(pin_slot.len() as u32);
+            port_box.push(ports);
+        }
+        let mut table = WindowNets {
+            member_start,
+            member_net,
+            pin_start,
+            pin_slot,
+            port_box,
+            bbox: Vec::new(),
+            hpwl: Vec::new(),
+        };
+        table.bbox = (0..ids.len())
+            .map(|n| table.scan(n, &placement.locs))
+            .collect();
+        table.hpwl = table.bbox.iter().map(Rect::half_perimeter).collect();
+        table
+    }
+
+    /// Member `k`'s nets, ascending.
+    fn nets_of(&self, k: usize) -> &[u32] {
+        &self.member_net[self.member_start[k] as usize..self.member_start[k + 1] as usize]
+    }
+
+    /// The bounding box of net `n`'s pins at `locs`. Every window net
+    /// holds at least its member's pin, so the box is never inverted.
+    fn scan(&self, n: usize, locs: &[Point]) -> Rect {
+        let slots = &self.pin_slot[self.pin_start[n] as usize..self.pin_start[n + 1] as usize];
+        let mut r = self.port_box[n];
+        for &s in slots {
+            r.expand(locs[s as usize]);
+        }
+        r
+    }
+
+    /// Net `n`'s box after one of its cells moved `from` → `to`, with
+    /// `locs` already holding the move. When `from` lay strictly inside
+    /// the cached box, every edge is set by some other pin and the box
+    /// only grows to take in `to`; otherwise the net is rescanned.
+    fn moved_box(&self, n: usize, from: Point, to: Point, locs: &[Point]) -> Rect {
+        let b = self.bbox[n];
+        if from.x > b.lo.x && from.x < b.hi.x && from.y > b.lo.y && from.y < b.hi.y {
+            #[cfg(test)]
+            box_updates::bump(box_updates::INTERIOR);
+            let mut r = b;
+            r.expand(to);
+            r
+        } else {
+            #[cfg(test)]
+            box_updates::bump(box_updates::RESCAN);
+            self.scan(n, locs)
+        }
+    }
+}
+
+/// Per-thread tally of how [`anneal_one`] derived each touched net's
+/// box, so the oracle test can show it reached every case.
+#[cfg(test)]
+mod box_updates {
+    use std::cell::Cell;
+
+    /// Both swapped cells are on the net: the box is unchanged.
+    pub const SHARED: usize = 0;
+    /// The moved cell sat strictly inside the box: expanded.
+    pub const INTERIOR: usize = 1;
+    /// The moved cell sat on the box's edge: rescanned.
+    pub const RESCAN: usize = 2;
+
+    thread_local! {
+        static COUNTS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub fn bump(kind: usize) {
+        COUNTS.with(|c| {
+            let mut v = c.get();
+            v[kind] += 1;
+            c.set(v);
+        });
+    }
+
+    /// The tally so far on this thread.
+    pub fn counts() -> [u64; 3] {
+        COUNTS.with(Cell::get)
     }
 }
 
@@ -1001,7 +1202,8 @@ mod tests {
     }
 
     /// Reference annealing chain for the exactness oracle: each move
-    /// collects both instances' nets afresh.
+    /// collects both instances' nets afresh and recomputes each net's
+    /// HPWL from the placement, before and after the swap.
     #[allow(clippy::too_many_arguments)]
     fn reference_anneal_one(
         netlist: &Netlist,
@@ -1056,19 +1258,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn anneal_one_matches_the_reference_loop() {
-        let lib = lib();
-        let mut n = chain(&lib, 120);
-        // Mixed footprints, so swaps draw from several width groups.
-        let wide = lib.find_id("INV_X4_L").unwrap();
-        for i in (0..120).step_by(3) {
-            n.replace_cell(n.find_inst(&format!("u{i}")).unwrap(), wide, &lib)
+    /// Widens every third cell of a chain, so swaps draw from several
+    /// width groups.
+    fn widen_every_third(n: &mut Netlist, lib: &Library, len: usize, wide: &str) {
+        let wide = lib.find_id(wide).unwrap();
+        for i in (0..len).step_by(3) {
+            n.replace_cell(n.find_inst(&format!("u{i}")).unwrap(), wide, lib)
                 .unwrap();
         }
+    }
+
+    /// A chain of MT-embedded inverters whose `MTE` pins all load one
+    /// port-driven net: every swap's two cells share that net.
+    fn mte_chain(lib: &Library, len: usize) -> Netlist {
+        let mut n = Netlist::new("mte_chain");
+        let mte = n.add_input("mte");
+        let mut prev = n.add_input("a");
+        let inv = lib.find_id("INV_X1_MC").unwrap();
+        for i in 0..len {
+            let next = n.add_net(&format!("w{i}"));
+            let u = n.add_instance(&format!("u{i}"), inv, lib);
+            n.connect_by_name(u, "A", prev, lib).unwrap();
+            n.connect_by_name(u, "MTE", mte, lib).unwrap();
+            n.connect_by_name(u, "Z", next, lib).unwrap();
+            prev = next;
+        }
+        n.expose_output("z", prev);
+        widen_every_third(&mut n, lib, len, "INV_X4_MC");
+        n
+    }
+
+    /// Anneals `members` of `n`'s bisection-only placement with both
+    /// `anneal_one` and `reference_anneal_one` and asserts that every
+    /// location comes out equal bit for bit, and that annealing moved
+    /// something.
+    fn assert_anneal_matches_reference(
+        case: &str,
+        n: &Netlist,
+        lib: &Library,
+        seed: u64,
+        members: &[usize],
+    ) {
         let start = place(
-            &n,
-            &lib,
+            n,
+            lib,
             &PlacerConfig {
                 anneal_moves_per_cell: 0,
                 ..PlacerConfig::default()
@@ -1077,38 +1310,68 @@ mod tests {
         let insts: Vec<InstId> = n.instances().map(|(id, _)| id).collect();
         let weights: Vec<f64> = insts
             .iter()
-            .map(|&i| cell_sites(&lib, &n, i) as f64)
+            .map(|&i| cell_sites(lib, n, i) as f64)
             .collect();
-        let all: Vec<usize> = (0..insts.len()).collect();
-        let window: Vec<usize> = (10..insts.len()).step_by(2).collect();
-        for (seed, members) in [(1, &all), (7, &all), (3, &window)] {
-            let mut fast = start.clone();
-            let mut reference = start.clone();
-            let moves = 40 * members.len();
-            anneal_one(&n, &insts, &weights, &mut fast, members, seed, 20.0, moves);
-            reference_anneal_one(
-                &n,
-                &insts,
-                &weights,
-                &mut reference,
-                members,
-                seed,
-                20.0,
-                moves,
-            );
-            let bits = |p: &Placement| -> Vec<(u64, u64)> {
-                p.locs
-                    .iter()
-                    .map(|q| (q.x.to_bits(), q.y.to_bits()))
-                    .collect()
-            };
-            assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
-            assert_ne!(
-                bits(&fast),
-                bits(&start),
-                "seed {seed}: annealing moved nothing"
-            );
+        let mut fast = start.clone();
+        let mut reference = start.clone();
+        let moves = 40 * members.len();
+        anneal_one(n, &insts, &weights, &mut fast, members, seed, 20.0, moves);
+        reference_anneal_one(
+            n,
+            &insts,
+            &weights,
+            &mut reference,
+            members,
+            seed,
+            20.0,
+            moves,
+        );
+        let bits = |p: &Placement| -> Vec<(u64, u64)> {
+            p.locs
+                .iter()
+                .map(|q| (q.x.to_bits(), q.y.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&fast), bits(&reference), "{case}");
+        assert_ne!(bits(&fast), bits(&start), "{case}: annealing moved nothing");
+    }
+
+    #[test]
+    fn anneal_one_matches_the_reference_loop() {
+        use smt_circuits::families::{generate, standard_suite, SuiteScale};
+        let lib = lib();
+        let mut designs = Vec::new();
+        let mut wide_chain = chain(&lib, 120);
+        widen_every_third(&mut wide_chain, &lib, 120, "INV_X4_L");
+        designs.push(("chain".to_owned(), wide_chain));
+        for w in standard_suite(SuiteScale::Smoke) {
+            if w.name == "fanout_b4_r12" || w.name == "random_300" {
+                designs.push((w.name, generate(&lib, &w.config).unwrap()));
+            }
         }
+        designs.push(("mte_chain".to_owned(), mte_chain(&lib, 120)));
+        assert_eq!(designs.len(), 4);
+
+        let before = box_updates::counts();
+        for (name, n) in &designs {
+            let cells = n.num_instances();
+            let all: Vec<usize> = (0..cells).collect();
+            let strided: Vec<usize> = (10..cells).step_by(2).collect();
+            let half: Vec<usize> = (cells / 4..cells * 3 / 4).collect();
+            for (seed, window, members) in [
+                (1, "all", &all),
+                (7, "all", &all),
+                (3, "strided", &strided),
+                (5, "half", &half),
+            ] {
+                let case = format!("{name}, seed {seed}, {window} window");
+                assert_anneal_matches_reference(&case, n, &lib, seed, members);
+            }
+        }
+        let after = box_updates::counts();
+        let ran: Vec<u64> = (0..3).map(|k| after[k] - before[k]).collect();
+        // Shared net, strictly interior point, edge-point rescan.
+        assert!(ran.iter().all(|&c| c >= 50), "box updates run: {ran:?}");
     }
 
     #[test]

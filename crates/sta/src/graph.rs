@@ -54,7 +54,7 @@
 use crate::analysis::{Derating, StaConfig};
 use smt_base::par::parallel_map;
 use smt_base::units::{Cap, Time};
-use smt_cells::cell::CellId;
+use smt_cells::cell::{CellId, PinDir};
 use smt_cells::library::Library;
 use smt_netlist::check::RuleId;
 use smt_netlist::graph::{topo_order, CombinationalCycle};
@@ -774,10 +774,10 @@ impl TimingGraph {
 /// A same-pin cell swap changes the pin caps of the swapped instance's
 /// input nets and, through [`Netlist::replace_cell`], moves its pins to
 /// the end of their load lists, shifting the ordinals of the other sinks
-/// there. A caller that keeps one cache across such swaps
-/// [`mark`](SinkCache::mark)s those nets and calls
-/// [`refresh`](SinkCache::refresh) before the next analysis; every other
-/// edit needs a new graph and cache.
+/// there. A caller that keeps one cache across such swaps marks those
+/// nets with [`mark_inputs`](SinkCache::mark_inputs) after each swap and
+/// calls [`refresh`](SinkCache::refresh) before the next analysis; every
+/// other edit needs a new graph and cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkCache {
     /// Sink ordinal per (instance, pin), CSR-indexed through the
@@ -806,6 +806,18 @@ impl SinkCache {
         if !*flag {
             *flag = true;
             self.stale.push(net);
+        }
+    }
+
+    /// Marks the nets on `inst`'s input pins after a same-pin swap of its
+    /// cell: the swap changed a pin cap on each of them and moved the
+    /// instance's pins to the end of their load lists.
+    pub fn mark_inputs(&mut self, netlist: &Netlist, inst: InstId) {
+        let inst = netlist.inst(inst);
+        for (conn, dir) in inst.conns.iter().zip(&inst.pin_dirs) {
+            if let (Some(net), PinDir::Input) = (conn, dir) {
+                self.mark(*net);
+            }
         }
     }
 

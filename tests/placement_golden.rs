@@ -1,5 +1,5 @@
 //! Placement golden: pins the exact default placement of the five smoke
-//! designs and the standard-scale pipeline.
+//! designs and the five standard-scale designs.
 //!
 //! Each digest is an `Fnv64` over every instance's `x` and `y`, in
 //! `Netlist::instances()` order, then the placement's HPWL. Placement
@@ -22,11 +22,15 @@ fn default_placements_match_their_golden_digests() {
         ("fanout_b4_r12", 0x820f_5ec7_3476_cdc9),
         ("random_300", 0xd718_0183_2cc4_9519),
         ("pipeline_s8_w32", 0xb0fd_3c5e_06f3_527d),
+        ("multiplier_w24", 0x6baf_3007_d48f_92e9),
+        ("fsm_bank_m16_s8", 0xb22b_d7ce_fc7a_12fd),
+        ("fanout_b16_r48", 0xceec_d0f1_a0dc_1b08),
+        ("random_5000", 0xb4f4_0e40_6df7_35a1),
     ];
     let lib = Library::industrial_130nm();
     let workloads = standard_suite(SuiteScale::Smoke)
         .into_iter()
-        .chain(standard_suite(SuiteScale::Standard).into_iter().take(1));
+        .chain(standard_suite(SuiteScale::Standard));
     let mut digests = Vec::new();
     for w in workloads {
         let netlist = generate(&lib, &w.config).expect("suite configs are valid");
