@@ -23,13 +23,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    // At most one item never asks the OS for its core count, which
+    // reads cgroup files on Linux: single-library timing states call
+    // this once per analysis.
+    if items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
     let workers = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         threads
     }
-    .min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
+    .min(items.len());
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);

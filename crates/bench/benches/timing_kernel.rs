@@ -8,7 +8,7 @@
 //! cargo bench -p smt-bench --bench timing_kernel
 //! ```
 //!
-//! Records one runner-independent metric for the regression gate:
+//! Records two runner-independent metrics for the regression gate:
 //!
 //! * `timing_kernel_speedup` — the repeated-analysis loop (graph +
 //!   cache built once, then full analyses) vs the same loop calling the
@@ -19,14 +19,29 @@
 //!   6.2–8.8× on 2 vCPUs; the gate (baseline 6.0, 20 % tolerance)
 //!   trips below 4.8×, so a kernel that falls back to per-instance
 //!   netlist and library lookups (3.7–4.4×) fails it.
+//! * `wns_probe_speedup` — the time of one `analyze_cached` over the
+//!   time of one single-cell-swap probe on a resident `TimingState`
+//!   (swap, update and WNS, swap back), cycling through the logic cells
+//!   of the same design: the Dual-Vth peephole pattern. Higher is
+//!   better. The resident state re-times forward only the cone a swap
+//!   touches, then runs the required-time pass over the output ports'
+//!   fan-out cone, which on this design covers 93 % of the slots; it
+//!   read 1.97–3.22, mostly 2.4–3.0, over 20 runs on 2 vCPUs. A probe
+//!   that re-times the whole design reads about 1.0 or less: 0.61–0.72
+//!   with `update` and `wns` replaced by `analyze_cached` (the swaps and
+//!   cache refresh still cost their share), 0.52–0.68 with a fresh
+//!   `TimingState` per probe. The gate (baseline 1.2, 20 % tolerance)
+//!   trips below 0.96, so a fallback to full re-analysis fails it.
 
 use smt_bench::harness::Harness;
+use smt_cells::cell::VthClass;
 use smt_cells::library::Library;
 use smt_circuits::rtl::circuit_b_rtl_sized;
 use smt_place::{place, PlacerConfig};
 use smt_route::Parasitics;
 use smt_sta::{
     analyze_baseline, analyze_cached, analyze_with_graph, Derating, StaConfig, TimingGraph,
+    TimingState,
 };
 use smt_synth::{synthesize, SynthOptions};
 
@@ -90,5 +105,54 @@ fn main() {
     };
     println!("\nrepeated-analysis speedup (legacy / kernel): {speedup:.2}x");
     h.metric("timing_kernel_speedup", speedup);
+
+    let probe_speedup = {
+        let mut g = h.group("wns_probe_circuit_b256");
+        g.sample_size(20);
+        let graph = TimingGraph::build(&n, &lib).expect("acyclic");
+        let cache = graph.build_cache(&n);
+        let full = g.bench("4x analyze_cached (whole-design probe)", || {
+            let mut wns = 0.0;
+            for _ in 0..BATCH {
+                wns += analyze_cached(&graph, &cache, &n, &lib, &par, &cfg, &der)
+                    .wns
+                    .ps();
+            }
+            wns
+        });
+
+        // Every logic cell with a high-Vth variant, probed in id order.
+        let swaps: Vec<_> = n
+            .instances()
+            .filter(|(_, inst)| lib.cell(inst.cell).is_logic())
+            .filter_map(|(id, inst)| {
+                let high = lib.variant_id(inst.cell, VthClass::High)?;
+                Some((id, inst.cell, high))
+            })
+            .collect();
+        let mut m = n.clone();
+        let mut cache = graph.build_cache(&m);
+        let libs = [&lib];
+        let mut state = TimingState::new(&graph, &cache, &m, &libs, &par, &cfg, &der);
+        let mut next = 0usize;
+        const PROBES: usize = 64;
+        let probe = g.bench("64x single-swap probe (resident state)", || {
+            let mut wns = 0.0;
+            for _ in 0..PROBES {
+                let (id, low, high) = swaps[next % swaps.len()];
+                next += 1;
+                m.replace_cell(id, high, &lib).expect("variant swap");
+                state.mark_swap(&mut cache, &m, id);
+                state.update(&mut cache, &m, &der);
+                wns += state.wns(0, &cache, &m, &der).ps();
+                m.replace_cell(id, low, &lib).expect("variant swap");
+                state.mark_swap(&mut cache, &m, id);
+            }
+            wns
+        });
+        (full.median.as_secs_f64() / BATCH as f64) / (probe.median.as_secs_f64() / PROBES as f64)
+    };
+    println!("\nsingle-swap probe speedup (analysis / probe): {probe_speedup:.2}x");
+    h.metric("wns_probe_speedup", probe_speedup);
     h.finish();
 }

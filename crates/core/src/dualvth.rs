@@ -9,13 +9,17 @@
 //! repeat until no further cell can be swapped. A peephole pass then
 //! retries the worst-leaking cells left low one at a time.
 //!
-//! Every probe is a full STA, but the state it times lives across
-//! probes: one [`TimingGraph`], one [`SinkCache`] and one [`Derating`]
-//! per assignment. A swap is a same-pin [`Netlist::replace_cell`]; it
-//! sets the swapped cell's derating factor and marks the nets on its
-//! input pins, and the next probe refreshes only those rows of the
-//! cache. The reports are bit-identical to timing each probe from
-//! scratch.
+//! The probes share one resident timing state per assignment: one
+//! [`TimingGraph`], one [`SinkCache`], one [`Derating`] and one
+//! [`TimingState`] holding the gathered inputs and every corner's
+//! forward timing. A swap is a same-pin [`Netlist::replace_cell`]; it
+//! sets the swapped cell's derating factor and records the swap in the
+//! state. The next probe re-gathers only the rows the swaps touched,
+//! re-times only the cone whose inputs changed, and takes the WNS
+//! without the full required-time pass; once per pass the
+//! candidate-slack reports come from the same state plus the full
+//! required-time pass. Every WNS and report is bit-identical to timing
+//! the probe from scratch.
 //!
 //! Cells left at low-Vth after this stage are, by definition, the
 //! timing-critical set: they are exactly the cells the Selective-MT
@@ -26,7 +30,7 @@ use smt_cells::cell::{Cell, CellId, CellRole, VthClass};
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
 use smt_route::Parasitics;
-use smt_sta::{analyze_cached, Derating, SinkCache, StaConfig, TimingGraph, TimingReport};
+use smt_sta::{Derating, SinkCache, StaConfig, TimingGraph, TimingReport, TimingState};
 
 /// Options for the assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,32 +110,31 @@ impl std::fmt::Display for AssignVthError {
 impl std::error::Error for AssignVthError {}
 
 /// The timing state one assignment's probes share, kept in step with the
-/// netlist swap by swap. The graph is built once: every edit the
-/// assignment makes is a same-pin Vth swap, which keeps topology and
-/// levels. The sink cache and the derating table are built once too,
-/// then updated per swap instead of rebuilt per probe.
+/// netlist swap by swap. The graph is built once by the caller: every
+/// edit the assignment makes is a same-pin Vth swap, which keeps
+/// topology and levels. The sink cache, the derating table and the
+/// resident forward state are built once too, then updated per swap
+/// instead of rebuilt per probe.
 struct ProbeState<'a> {
     libs: &'a [&'a Library],
-    parasitics: &'a Parasitics,
-    config: &'a StaConfig,
     low_vth_derate: f64,
-    graph: TimingGraph,
     cache: SinkCache,
     /// `low_vth_derate` on low-Vth logic, 1.0 elsewhere; no table at all
     /// when the derate is 1.0.
     derating: Derating,
+    timing: TimingState<'a>,
 }
 
 impl<'a> ProbeState<'a> {
     fn new(
         netlist: &Netlist,
+        graph: &'a TimingGraph,
         libs: &'a [&'a Library],
         parasitics: &'a Parasitics,
         config: &'a StaConfig,
         low_vth_derate: f64,
-    ) -> Result<Self, AssignVthError> {
+    ) -> Self {
         let lib = libs[0];
-        let graph = TimingGraph::build(netlist, lib).map_err(AssignVthError::Cycle)?;
         let cache = graph.build_cache(netlist);
         let derating = if low_vth_derate > 1.0 {
             let mut d = Derating::uniform(netlist);
@@ -144,21 +147,21 @@ impl<'a> ProbeState<'a> {
         } else {
             Derating::none()
         };
-        Ok(ProbeState {
+        let timing = TimingState::new(graph, &cache, netlist, libs, parasitics, config, &derating);
+        ProbeState {
             libs,
-            parasitics,
-            config,
             low_vth_derate,
-            graph,
             cache,
             derating,
-        })
+            timing,
+        }
     }
 
     /// Swaps instance `id` to `cell` (a same-pin variant), sets its
-    /// derating factor for the new cell, and marks the nets on its input
-    /// pins: the swap changed a pin cap there and moved the instance's
-    /// pins to the end of those load lists.
+    /// derating factor for the new cell, and records the swap in the
+    /// timing state, which marks the nets on its input pins: the swap
+    /// changed a pin cap there and moved the instance's pins to the end
+    /// of those load lists.
     fn swap(&mut self, netlist: &mut Netlist, id: InstId, cell: CellId) {
         let lib = self.libs[0];
         netlist
@@ -172,47 +175,31 @@ impl<'a> ProbeState<'a> {
             };
             self.derating.set(id, factor);
         }
-        self.cache.mark_inputs(netlist, id);
+        self.timing.mark_swap(&mut self.cache, netlist, id);
     }
 
-    /// Runs STA at every corner library over the shared graph, cache
-    /// and derating table; reports come back in `libs` order. The cache
-    /// first re-derives the rows the swaps since the last probe marked.
-    fn sta(&mut self, netlist: &Netlist) -> Vec<TimingReport> {
-        self.cache.refresh(&self.graph, netlist);
-        self.libs
-            .iter()
-            .map(|lib| {
-                analyze_cached(
-                    &self.graph,
-                    &self.cache,
-                    netlist,
-                    lib,
-                    self.parasitics,
-                    self.config,
-                    &self.derating,
-                )
-            })
+    /// Full reports at every corner library, in `libs` order, from the
+    /// updated state (the once-per-pass candidate slacks).
+    fn reports(&mut self, netlist: &Netlist) -> Vec<TimingReport> {
+        self.timing.update(&mut self.cache, netlist, &self.derating);
+        (0..self.libs.len())
+            .map(|k| self.timing.report(k, &self.cache, netlist, &self.derating))
             .collect()
     }
 
-    /// Worst setup WNS across the corner libraries.
+    /// Worst setup WNS across the corner libraries, from the updated
+    /// state.
     fn wns(&mut self, netlist: &Netlist) -> Time {
-        worst_wns(&self.sta(netlist))
+        self.timing.update(&mut self.cache, netlist, &self.derating);
+        (0..self.libs.len())
+            .map(|k| self.timing.wns(k, &self.cache, netlist, &self.derating))
+            .fold(Time::new(f64::INFINITY), Time::min)
     }
 }
 
 /// Cells that carry the low-Vth derate: low-Vth logic.
 fn is_derated(cell: &Cell) -> bool {
     cell.vth == VthClass::Low && cell.role == CellRole::Logic
-}
-
-/// Worst setup WNS across corner reports.
-fn worst_wns(reports: &[TimingReport]) -> Time {
-    reports
-        .iter()
-        .map(|r| r.wns)
-        .fold(Time::new(f64::INFINITY), Time::min)
 }
 
 /// Worst instance slack across corner reports (the slack the assignment
@@ -300,7 +287,15 @@ pub fn assign_dual_vth_at_corners(
     assert!(!libs.is_empty(), "at least one corner library");
     let lib = libs[0];
     let margin = config.slack_margin;
-    let mut probe = ProbeState::new(netlist, libs, parasitics, sta_config, config.low_vth_derate)?;
+    let graph = TimingGraph::build(netlist, lib).map_err(AssignVthError::Cycle)?;
+    let mut probe = ProbeState::new(
+        netlist,
+        &graph,
+        libs,
+        parasitics,
+        sta_config,
+        config.low_vth_derate,
+    );
     let base = probe.wns(netlist);
     if base < margin {
         return Err(AssignVthError::InfeasibleConstraint { wns: base });
@@ -319,7 +314,7 @@ pub fn assign_dual_vth_at_corners(
 
     for _pass in 0..config.max_passes {
         passes += 1;
-        let reports = probe.sta(netlist);
+        let reports = probe.reports(netlist);
         // Candidates sorted by worst-across-corners slack, largest first.
         let mut cands: Vec<(Time, InstId, CellId, CellId)> = netlist
             .instances()

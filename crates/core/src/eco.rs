@@ -11,7 +11,7 @@ use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist, PinRef};
 use smt_place::Placement;
 use smt_route::{buffer_net, BufferingConfig, BufferingReport, Parasitics};
-use smt_sta::{analyze_cached, Derating, SinkCache, StaConfig, TimingGraph};
+use smt_sta::{Derating, SinkCache, StaConfig, TimingGraph, TimingReport, TimingState};
 
 /// Buffers the MTE net with always-on high-Vth buffers.
 ///
@@ -51,8 +51,27 @@ pub struct HoldFixReport {
 
 /// Hold violations merged across corner reports (worst slack per
 /// flip-flop, via [`smt_sta::merge_hold_violations`]).
-fn merge_hold_violations(reports: &[smt_sta::TimingReport]) -> Vec<smt_sta::HoldViolation> {
+fn merge_hold_violations(reports: &[TimingReport]) -> Vec<smt_sta::HoldViolation> {
     smt_sta::merge_hold_violations(reports.iter().map(|r| r.hold_violations.clone()))
+}
+
+/// Times the netlist at every corner library from one graph, one sink
+/// cache and one gather; reports come back in `libs` order.
+fn corner_reports(
+    netlist: &Netlist,
+    libs: &[&Library],
+    parasitics: &Parasitics,
+    sta_config: &StaConfig,
+    derating: &Derating,
+) -> Result<Vec<TimingReport>, smt_netlist::graph::CombinationalCycle> {
+    let graph = TimingGraph::build(netlist, libs[0])?;
+    let cache = graph.build_cache(netlist);
+    let timing = TimingState::new(
+        &graph, &cache, netlist, libs, parasitics, sta_config, derating,
+    );
+    Ok((0..libs.len())
+        .map(|k| timing.report(k, &cache, netlist, derating))
+        .collect())
 }
 
 /// Fixes hold violations by inserting high-Vth delay buffers in front of
@@ -108,14 +127,9 @@ pub fn fix_hold_at_corners(
     for round in 0..max_rounds {
         report.rounds = round + 1;
         // Buffer insertion changes topology every round, so the graph is
-        // rebuilt per round — but shared (with its cache) across the
-        // corner libraries.
-        let graph = TimingGraph::build(netlist, lib)?;
-        let cache = graph.build_cache(netlist);
-        let reports: Vec<_> = libs
-            .iter()
-            .map(|l| analyze_cached(&graph, &cache, netlist, l, parasitics, sta_config, derating))
-            .collect();
+        // rebuilt per round — but shared (with its cache and one gather)
+        // across the corner libraries.
+        let reports = corner_reports(netlist, libs, parasitics, sta_config, derating)?;
         let violations = merge_hold_violations(&reports);
         if violations.is_empty() {
             report.remaining = 0;
@@ -152,12 +166,7 @@ pub fn fix_hold_at_corners(
         // fall back to zero-RC defaults in STA lookups, which is
         // conservative for hold (buffers' own delay still counts).
     }
-    let graph = TimingGraph::build(netlist, lib)?;
-    let cache = graph.build_cache(netlist);
-    let reports: Vec<_> = libs
-        .iter()
-        .map(|l| analyze_cached(&graph, &cache, netlist, l, parasitics, sta_config, derating))
-        .collect();
+    let reports = corner_reports(netlist, libs, parasitics, sta_config, derating)?;
     report.remaining = merge_hold_violations(&reports).len();
     Ok(report)
 }
@@ -227,15 +236,19 @@ pub fn recover_setup_at_corners(
     // Graph and sink cache are built once for the whole recovery: every
     // fix below is a same-pin variant/drive swap, so topology and levels
     // never change. Each swap marks the nets on its input pins, and each
-    // analysis first re-derives those cache rows. (A future fix that
-    // inserts cells must rebuild both.)
+    // round first re-derives those cache rows, then gathers once for
+    // every corner library. (A future fix that inserts cells must
+    // rebuild both.)
     let graph = TimingGraph::build(netlist, lib)?;
     let mut cache = graph.build_cache(netlist);
     let worst_corner = |cache: &mut SinkCache, netlist: &Netlist| {
         cache.refresh(&graph, netlist);
-        let mut worst: Option<(usize, smt_sta::TimingReport)> = None;
-        for (k, l) in libs.iter().enumerate() {
-            let t = analyze_cached(&graph, cache, netlist, l, parasitics, sta_config, derating);
+        let timing = TimingState::new(
+            &graph, cache, netlist, libs, parasitics, sta_config, derating,
+        );
+        let mut worst: Option<(usize, TimingReport)> = None;
+        for k in 0..libs.len() {
+            let t = timing.report(k, cache, netlist, derating);
             if worst.as_ref().map(|(_, w)| t.wns < w.wns).unwrap_or(true) {
                 worst = Some((k, t));
             }

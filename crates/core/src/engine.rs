@@ -51,7 +51,7 @@ use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
 use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, RouteError, Router};
 use smt_sim::EquivCache;
-use smt_sta::{analyze, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
+use smt_sta::{analyze, Derating, StaConfig, TimingGraph, TimingReport, TimingState};
 use smt_synth::{synthesize, SynthError, SynthOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -1685,24 +1685,53 @@ impl Stage for Signoff {
         })?;
         let sta_cfg = state.sta(StageId::Signoff)?.clone();
         let derating = state.derating.clone().unwrap_or_else(Derating::none);
-        // One `TimingGraph` + sink cache serves the primary signoff and
-        // every non-identity corner row below: topology is
-        // corner-invariant.
-        let graph = TimingGraph::build(&state.netlist, lib).map_err(FlowError::Cycle)?;
-        let cache = graph.build_cache(&state.netlist);
-        let timing = analyze_cached(
-            &graph,
-            &cache,
-            &state.netlist,
-            lib,
-            extracted,
-            &sta_cfg,
-            &derating,
-        );
-        state.last_wns = Some(timing.wns);
-        if !timing.setup_met() {
-            return Err(FlowError::TimingNotMet { wns: timing.wns });
-        }
+        // One `TimingGraph`, sink cache and gather time the primary
+        // library and every non-identity corner: topology and the
+        // gathered loads and wire delays are corner-invariant. Each
+        // corner keeps only its WNS, TNS and hold count, so the timing
+        // state is gone before equivalence checking starts.
+        let (timing, corner_timing) = {
+            let netlist = &state.netlist;
+            let graph = TimingGraph::build(netlist, lib).map_err(FlowError::Cycle)?;
+            let cache = graph.build_cache(netlist);
+            let libs: Vec<&Library> = std::iter::once(lib)
+                .chain(
+                    ctx.corners
+                        .iter()
+                        .filter(|cl| !cl.corner.is_identity())
+                        .map(|cl| &cl.lib),
+                )
+                .collect();
+            let timing_state = TimingState::new(
+                &graph, &cache, netlist, &libs, extracted, &sta_cfg, &derating,
+            );
+            let timing = timing_state.report(0, &cache, netlist, &derating);
+            state.last_wns = Some(timing.wns);
+            if !timing.setup_met() {
+                return Err(FlowError::TimingNotMet { wns: timing.wns });
+            }
+            // Per corner in `ctx.corners` order: its index into `libs`,
+            // none for the identity corner, which reuses the primary.
+            let mut next = 0;
+            let indices: Vec<Option<usize>> = ctx
+                .corners
+                .iter()
+                .map(|cl| {
+                    (!cl.corner.is_identity()).then(|| {
+                        next += 1;
+                        next
+                    })
+                })
+                .collect();
+            // One corner per worker of the pool the sweeps use.
+            let corner_timing = parallel_map(&indices, 0, |k| {
+                k.map(|k| {
+                    let t = timing_state.report(k, &cache, netlist, &derating);
+                    (t.wns, t.tns, t.hold_violations.len())
+                })
+            });
+            (timing, corner_timing)
+        };
 
         // One standby snapshot serves the standby-safety check and the
         // leakage pricing below.
@@ -1732,45 +1761,36 @@ impl Stage for Signoff {
         let standby_total = ledger.price(lib, PricingMode::Standby).total();
         let active_total = ledger.price(lib, PricingMode::ActiveMean).total();
 
-        // Per-corner signoff table: the final design re-timed and
-        // re-priced at every corner, fanned out on the same worker pool
-        // the sweeps use (one corner per thread). The identity corner's
-        // row is the primary signoff verbatim — its library is a clone of
-        // the base, so re-running analyze/leakage there would only
-        // recompute the identical numbers.
-        let netlist = &state.netlist;
-        let (graph, cache) = (&graph, &cache);
-        let ledger_ref = &ledger;
-        let rows: Vec<Result<CornerSignoff, FlowError>> =
-            parallel_map(ctx.corners, 0, |cl: &CornerLibrary| {
-                if cl.corner.is_identity() {
-                    return Ok(CornerSignoff {
-                        corner: cl.corner.clone(),
-                        wns: timing.wns,
-                        tns: timing.tns,
-                        hold_violations: timing.hold_violations.len(),
-                        standby_leakage: standby_total,
-                        active_leakage: active_total,
-                    });
-                }
-                let t = analyze_cached(
-                    graph, cache, netlist, &cl.lib, extracted, &sta_cfg, &derating,
-                );
-                Ok(CornerSignoff {
+        // Per-corner signoff table: the final design's timing at every
+        // corner (above) and its leakage re-priced there. The identity
+        // corner's row is the primary signoff verbatim — its library is a
+        // clone of the base, so re-running analyze/leakage there would
+        // only recompute the identical numbers.
+        let corner_signoff: Vec<CornerSignoff> = ctx
+            .corners
+            .iter()
+            .zip(&corner_timing)
+            .map(|(cl, corner)| match *corner {
+                None => CornerSignoff {
                     corner: cl.corner.clone(),
-                    wns: t.wns,
-                    tns: t.tns,
-                    hold_violations: t.hold_violations.len(),
+                    wns: timing.wns,
+                    tns: timing.tns,
+                    hold_violations: timing.hold_violations.len(),
+                    standby_leakage: standby_total,
+                    active_leakage: active_total,
+                },
+                Some((wns, tns, hold_violations)) => CornerSignoff {
+                    corner: cl.corner.clone(),
+                    wns,
+                    tns,
+                    hold_violations,
                     // Re-pricing the cached rows per corner replaces a
                     // netlist + snapshot walk per corner library.
-                    standby_leakage: ledger_ref.price(&cl.lib, PricingMode::Standby).total(),
-                    active_leakage: ledger_ref.price(&cl.lib, PricingMode::ActiveMean).total(),
-                })
-            });
-        let mut corner_signoff = Vec::with_capacity(rows.len());
-        for row in rows {
-            corner_signoff.push(row?);
-        }
+                    standby_leakage: ledger.price(&cl.lib, PricingMode::Standby).total(),
+                    active_leakage: ledger.price(&cl.lib, PricingMode::ActiveMean).total(),
+                },
+            })
+            .collect();
         // Enforce setup at every corner that signs it off (the primary
         // corner was already enforced above and is reused verbatim for
         // the identity corner).

@@ -4,16 +4,18 @@
 //! Every analysis runs the one [`TimingGraph`] kernel: [`analyze`]
 //! builds the levelized graph and sink cache for the current netlist,
 //! [`analyze_with_graph`] reuses a graph and builds the cache, and
-//! [`analyze_cached`] reuses both. The kernel gathers the live cell ids,
-//! wire delays and net loads once, then runs its forward propagation
-//! and its required-time pass over flat arrays; this module seeds the
-//! endpoints and sources and turns the results into WNS, TNS and hold
-//! violations. The pre-kernel sequential implementation is kept
-//! verbatim as [`analyze_baseline`] — the differential-testing
-//! reference the kernel is proven bit-identical against, and the only
-//! other STA implementation.
+//! [`analyze_cached`] reuses both. [`analyze_cached`] is a fresh
+//! [`TimingState`] for one library read out as a report: the kernel
+//! gathers the live cell ids, wire delays and net loads once, then runs
+//! its forward propagation and its required-time pass over flat arrays,
+//! and the state turns the results into WNS, TNS and hold violations.
+//! The pre-kernel sequential implementation is kept verbatim as
+//! [`analyze_baseline`] — the differential-testing reference the kernel
+//! is proven bit-identical against, and the only other STA
+//! implementation.
 
 use crate::graph::{sink_ordinal, SinkCache, TimingGraph};
+use crate::state::TimingState;
 use smt_base::units::{Cap, Time};
 use smt_cells::library::Library;
 use smt_netlist::graph::{topo_order, CombinationalCycle};
@@ -233,13 +235,13 @@ pub fn analyze_with_graph(
     analyze_cached(graph, &cache, netlist, lib, parasitics, config, derating)
 }
 
-/// [`analyze_with_graph`] with a caller-held [`SinkCache`], for loops
-/// that re-analyze one netlist under several libraries (the per-corner
-/// probes of the assignment and signoff loops): the cache is
+/// [`analyze_with_graph`] with a caller-held [`SinkCache`]: the cache is
 /// corner-invariant, so building it once amortizes the last per-call
-/// rediscovery cost. A caller that swaps cells between analyses keeps
-/// the cache current with [`SinkCache::mark`] and
-/// [`SinkCache::refresh`].
+/// rediscovery cost. It is the fresh case of [`TimingState`]; a loop
+/// that times one netlist under several libraries builds one state for
+/// all of them, so they share one gather, and a loop that swaps cells
+/// between probes keeps that state across the swaps
+/// ([`TimingState::update`]).
 ///
 /// # Panics
 ///
@@ -255,113 +257,8 @@ pub fn analyze_cached(
     config: &StaConfig,
     derating: &Derating,
 ) -> TimingReport {
-    let gathered = graph.gather(netlist, parasitics, cache);
-    let nets = graph.propagate(netlist, lib, config, derating, &gathered);
-    let nn = netlist.num_nets();
-    let wire_of = |net: NetId, pr: PinRef| {
-        let ord = graph.ordinal(cache, pr);
-        parasitics.net(net).elmore(ord)
-    };
-
-    // Required times: endpoints, then the kernel's backward pass.
-    let endpoint_req = config.clock_period - config.clock_skew;
-    let mut required = vec![Time::new(f64::INFINITY); nn];
-    for (_, port) in netlist.ports() {
-        if port.dir == PortDir::Output {
-            let r = endpoint_req - config.output_margin;
-            let i = port.net.index();
-            required[i] = required[i].min(r);
-        }
-    }
-    for &id in graph.ffs() {
-        let inst = netlist.inst(id);
-        let cell = lib.cell(inst.cell);
-        if let Some(dp) = graph.cells.d_pin(inst.cell) {
-            if let Some(dnet) = inst.net_on(dp) {
-                let wire = wire_of(dnet, PinRef { inst: id, pin: dp });
-                let r = endpoint_req - cell.setup - wire;
-                let i = dnet.index();
-                required[i] = required[i].min(r);
-            }
-        }
-    }
-    graph.propagate_required(lib, derating, &gathered, &nets, &mut required);
-    // Unconstrained nets: give them the endpoint requirement so slack is
-    // defined (large positive).
-    for r in required.iter_mut() {
-        if !r.is_finite() {
-            *r = endpoint_req;
-        }
-    }
-
-    // WNS / TNS over endpoints.
-    let mut wns = Time::new(f64::INFINITY);
-    let mut tns = Time::ZERO;
-    let mut consider = |slack: Time| {
-        wns = wns.min(slack);
-        if slack.ps() < 0.0 {
-            tns += slack;
-        }
-    };
-    for (_, port) in netlist.ports() {
-        if port.dir == PortDir::Output {
-            let i = port.net.index();
-            consider(required[i] - nets[i].at);
-        }
-    }
-    for &id in graph.ffs() {
-        let inst = netlist.inst(id);
-        let cell = lib.cell(inst.cell);
-        if let Some(dp) = graph.cells.d_pin(inst.cell) {
-            if let Some(dnet) = inst.net_on(dp) {
-                let wire = wire_of(dnet, PinRef { inst: id, pin: dp });
-                let at = nets[dnet.index()].at + wire;
-                let req = endpoint_req - cell.setup;
-                consider(req - at);
-            }
-        }
-    }
-    if !wns.is_finite() {
-        wns = config.clock_period;
-    }
-
-    // Hold: min arrival at FF D must exceed hold + skew.
-    let mut hold_violations = Vec::new();
-    for &id in graph.ffs() {
-        let inst = netlist.inst(id);
-        let cell = lib.cell(inst.cell);
-        let Some(dp) = graph.cells.d_pin(inst.cell) else {
-            continue;
-        };
-        let Some(dnet) = inst.net_on(dp) else {
-            continue;
-        };
-        let wire = wire_of(dnet, PinRef { inst: id, pin: dp });
-        let mut at_min = nets[dnet.index()].at_min;
-        if !at_min.is_finite() {
-            at_min = Time::ZERO;
-        }
-        let at_min = at_min + wire;
-        let need = cell.hold + config.clock_skew;
-        if at_min < need {
-            hold_violations.push(HoldViolation {
-                ff: id,
-                arrival_min: at_min,
-                required: need,
-            });
-        }
-    }
-
-    TimingReport {
-        arrival: nets.iter().map(|t| t.at).collect(),
-        arrival_min: nets.iter().map(|t| t.at_min).collect(),
-        slew: nets.iter().map(|t| t.slew).collect(),
-        required,
-        wns,
-        tns,
-        hold_violations,
-        clock_period: config.clock_period,
-    }
+    TimingState::new(graph, cache, netlist, &[lib], parasitics, config, derating)
+        .report(0, cache, netlist, derating)
 }
 
 /// The pre-kernel sequential analysis, kept verbatim as the reference

@@ -16,15 +16,23 @@
 //! * a CSR pin → sink-ordinal layout whose values (the same net → sink
 //!   rows [`Netlist::load_csr`] exports) live in the per-consumer
 //!   [`SinkCache`];
+//! * the inverse maps, topology only: each net's readers (the edges
+//!   whose pin sits on it, with their level-order slots) and each
+//!   instance's level-order slot, built on first use (only a resident
+//!   state's update and probes read them);
 //! * per-cell-type tables: logic inputs, output and `D` pins, the arc
 //!   each pin drives, and pin caps.
 //!
-//! Each analysis first gathers what its two passes read: the live cell
-//! id of every instance, the wire delay of every input pin, and the
-//! total load of every net. The forward propagation and the
-//! required-time pass then walk those arrays and the graph's, and keep
-//! each net's arrival, min arrival and slew side by side; neither pass
-//! chases a `Netlist`, `Parasitics` or pin-list pointer.
+//! A [`TimingState`](crate::state::TimingState) gathers once what the
+//! two passes read: the live cell id of every instance, the wire delay
+//! of every input pin, and the total load of every net. The gather is
+//! corner-invariant, so every corner library of the state reads it. The
+//! forward propagation and the required-time pass then walk those
+//! arrays and the graph's, and keep each net's arrival, min arrival and
+//! slew side by side; neither pass chases a `Netlist`, `Parasitics` or
+//! pin-list pointer. The full gather and the state's per-swap re-gather
+//! read rows through the same helpers, and the full propagation and the
+//! state's update evaluate every slot through the same `eval`.
 //!
 //! The graph records connectivity, not cell choice. It serves the
 //! netlist it was built from and every netlist reached from it by
@@ -34,8 +42,10 @@
 //! sink-ordinal table — live in a [`SinkCache`]. Both are
 //! corner-invariant, so a per-corner loop over an unchanged netlist
 //! shares one graph and one cache. A caller that swaps cells between
-//! analyses (the Dual-Vth probes) marks the nets on the swapped pins and
-//! calls [`SinkCache::refresh`], which re-derives only those rows.
+//! probes (the Dual-Vth assignment) records each swap in its
+//! `TimingState`, which marks the nets on the swapped pins; the next
+//! update calls [`SinkCache::refresh`], which re-derives only those
+//! rows, then re-gathers and re-times only what they touch.
 //!
 //! Propagation is **bit-identical** to the legacy sequential walk kept
 //! as [`analyze_baseline`](crate::analysis::analyze_baseline) (see
@@ -62,12 +72,16 @@ use smt_netlist::netlist::{InstId, Net, NetId, Netlist, PinRef, PortDir};
 use smt_route::Parasitics;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Sentinel for "this pin is not a sink of any net".
 const NO_ORD: u32 = u32::MAX;
 
 /// Sentinel for "this instance drives no net".
 const NO_NET: u32 = u32::MAX;
+
+/// Sentinel for "this instance has no level-order slot".
+const NO_SLOT: u32 = u32::MAX;
 
 /// Structured form of the timing kernel's hard error: a connected input
 /// pin missing from its net's load list. Carries the same
@@ -167,6 +181,16 @@ struct Edge {
     slot: u32,
 }
 
+/// One reader of a net: an edge whose pin sits on the net, and the
+/// level-order slot of the instance that owns the edge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reader {
+    /// Index into the graph's edges.
+    pub edge: u32,
+    /// Level-order slot of the reading instance.
+    pub slot: u32,
+}
+
 /// Forward-propagation state of one net, kept together because every
 /// input pin reads all three.
 #[derive(Debug, Clone, Copy)]
@@ -179,17 +203,38 @@ pub(crate) struct NetTiming {
     pub slew: Time,
 }
 
+impl NetTiming {
+    /// The timing of a net no source or evaluated instance has written.
+    pub(crate) fn unreached(source_slew: Time) -> Self {
+        NetTiming {
+            at: Time::ZERO,
+            at_min: Time::new(f64::INFINITY),
+            slew: source_slew,
+        }
+    }
+
+    /// True when all three fields have the same bits: `==` would take
+    /// `+0.0` for `-0.0`, which a fresh propagation tells apart.
+    #[inline]
+    pub(crate) fn same_bits(&self, other: &NetTiming) -> bool {
+        self.at.ps().to_bits() == other.at.ps().to_bits()
+            && self.at_min.ps().to_bits() == other.at_min.ps().to_bits()
+            && self.slew.ps().to_bits() == other.slew.ps().to_bits()
+    }
+}
+
 /// What one analysis reads per instance, per input pin and per net,
-/// gathered once from the netlist, the parasitics and the cache before
-/// the passes run.
+/// gathered from the netlist, the parasitics and the cache before the
+/// passes run. Nothing in it depends on the corner library, so one
+/// gather serves every corner.
 #[derive(Debug)]
 pub(crate) struct Gathered {
     /// Live cell id per level-order slot.
-    cell: Vec<CellId>,
+    pub cell: Vec<CellId>,
     /// Wire (Elmore) delay to each edge's pin, in `edges` order.
-    wire: Vec<Time>,
+    pub wire: Vec<Time>,
     /// Total load per net: static pin and port load plus wire cap.
-    load: Vec<Cap>,
+    pub load: Vec<Cap>,
 }
 
 /// The shared levelized timing kernel; see the module docs.
@@ -210,6 +255,10 @@ pub struct TimingGraph {
     /// CSR offsets of each instance slot's pin row in a [`SinkCache`]'s
     /// ordinal table (`pin_start.len() == inst_capacity + 1`).
     pin_start: Vec<u32>,
+    /// The inverse maps, built on first use: only a resident
+    /// [`TimingState`](crate::state::TimingState) that updates or probes
+    /// reads them, so a one-shot analysis never pays for them.
+    inverse: OnceLock<InverseMaps>,
     /// Per-cell-type structure tables (see [`CellTables`]).
     pub(crate) cells: CellTables,
     /// Live sequential instances in id order — the sources (`Q` pins)
@@ -218,6 +267,53 @@ pub struct TimingGraph {
     ffs: Vec<InstId>,
     /// Net count the graph was built against.
     num_nets: usize,
+}
+
+/// The graph's topology-only inverse maps.
+#[derive(Debug, Clone)]
+struct InverseMaps {
+    /// CSR offsets into `readers`, per net.
+    reader_start: Vec<u32>,
+    /// The edges that read each net, grouped by net, each group in
+    /// level order: the inverse of the graph's edges.
+    readers: Vec<Reader>,
+    /// Level-order slot per instance id (`NO_SLOT` for instances off
+    /// the combinational order: flip-flops, tombstones).
+    slot_of: Vec<u32>,
+}
+
+impl InverseMaps {
+    /// Each net's readers (a counting sort of the edges by net, so each
+    /// group stays in level order) and each instance's slot.
+    fn build(graph: &TimingGraph) -> Self {
+        let num_nets = graph.num_nets;
+        let mut reader_start = vec![0u32; num_nets + 1];
+        for e in &graph.edges {
+            reader_start[e.net as usize + 1] += 1;
+        }
+        for i in 0..num_nets {
+            reader_start[i + 1] += reader_start[i];
+        }
+        let mut fill = reader_start[..num_nets].to_vec();
+        let mut readers = vec![Reader { edge: 0, slot: 0 }; graph.edges.len()];
+        let mut slot_of = vec![NO_SLOT; graph.pin_start.len() - 1];
+        for (slot, &id) in graph.order.iter().enumerate() {
+            slot_of[id.index()] = slot as u32;
+            for e in graph.edge_range(slot) {
+                let net = graph.edges[e].net as usize;
+                readers[fill[net] as usize] = Reader {
+                    edge: e as u32,
+                    slot: slot as u32,
+                };
+                fill[net] += 1;
+            }
+        }
+        InverseMaps {
+            reader_start,
+            readers,
+            slot_of,
+        }
+    }
 }
 
 /// Flattened per-cell-*type* structure lookups, precomputed once at
@@ -401,6 +497,7 @@ impl TimingGraph {
             edge_start,
             edges,
             pin_start,
+            inverse: OnceLock::new(),
             cells,
             ffs,
             num_nets: netlist.num_nets(),
@@ -410,6 +507,52 @@ impl TimingGraph {
     /// Live sequential instances (in id order) at build time.
     pub(crate) fn ffs(&self) -> &[InstId] {
         &self.ffs
+    }
+
+    /// True for a flip-flop of [`TimingGraph::ffs`].
+    pub(crate) fn is_ff(&self, id: InstId) -> bool {
+        self.ffs.binary_search(&id).is_ok()
+    }
+
+    /// Number of level-order slots.
+    pub(crate) fn num_slots(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Net count the graph was built against.
+    pub(crate) fn num_nets(&self) -> usize {
+        self.num_nets
+    }
+
+    /// The inverse maps, built on the first call.
+    #[inline]
+    fn inverse(&self) -> &InverseMaps {
+        self.inverse.get_or_init(|| InverseMaps::build(self))
+    }
+
+    /// The level-order slot of an instance, if it has one.
+    #[inline]
+    pub(crate) fn slot_of(&self, id: InstId) -> Option<usize> {
+        match self.inverse().slot_of.get(id.index()) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The output net of a level-order slot, if it drives one.
+    #[inline]
+    pub(crate) fn out_net(&self, slot: usize) -> Option<usize> {
+        match self.out_net[slot] {
+            NO_NET => None,
+            n => Some(n as usize),
+        }
+    }
+
+    /// The edges that read a net, in level order.
+    #[inline]
+    pub(crate) fn readers(&self, net: usize) -> &[Reader] {
+        let m = self.inverse();
+        &m.readers[m.reader_start[net] as usize..m.reader_start[net + 1] as usize]
     }
 
     /// Number of levels in the combinational core.
@@ -559,24 +702,51 @@ impl TimingGraph {
         let mut wire = Vec::with_capacity(self.edges.len());
         for (slot, &id) in self.order.iter().enumerate() {
             cell.push(netlist.inst(id).cell);
-            for e in &self.edges[self.edge_range(slot)] {
-                let ord = cache.ord[e.slot as usize];
-                if ord == NO_ORD {
-                    dangling_lookup(PinRef {
-                        inst: id,
-                        pin: e.pin as usize,
-                    });
-                }
-                wire.push(parasitics.net(NetId(e.net)).elmore(ord as usize));
+            for &edge in &self.edges[self.edge_range(slot)] {
+                wire.push(self.pin_wire(parasitics, cache, id, edge));
             }
         }
-        let load = cache
-            .load
-            .iter()
-            .enumerate()
-            .map(|(net, &pins)| pins + parasitics.net(NetId(net as u32)).wire_cap)
+        let load = (0..cache.load.len())
+            .map(|net| self.net_load(parasitics, cache, net))
             .collect();
         Gathered { cell, wire, load }
+    }
+
+    /// The gathered wire delay of one edge (of the instance at `slot`):
+    /// the Elmore delay at its pin's ordinal in the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pin has no ordinal (a stale cache).
+    #[inline]
+    pub(crate) fn edge_wire(
+        &self,
+        parasitics: &Parasitics,
+        cache: &SinkCache,
+        slot: usize,
+        e: usize,
+    ) -> Time {
+        self.pin_wire(parasitics, cache, self.order[slot], self.edges[e])
+    }
+
+    /// [`TimingGraph::edge_wire`] for an edge of instance `id`.
+    #[inline]
+    fn pin_wire(&self, parasitics: &Parasitics, cache: &SinkCache, id: InstId, edge: Edge) -> Time {
+        let ord = cache.ord[edge.slot as usize];
+        if ord == NO_ORD {
+            dangling_lookup(PinRef {
+                inst: id,
+                pin: edge.pin as usize,
+            });
+        }
+        parasitics.net(NetId(edge.net)).elmore(ord as usize)
+    }
+
+    /// The gathered total load of one net: its static load in the cache
+    /// plus its wire cap.
+    #[inline]
+    pub(crate) fn net_load(&self, parasitics: &Parasitics, cache: &SinkCache, net: usize) -> Cap {
+        cache.load[net] + parasitics.net(NetId(net as u32)).wire_cap
     }
 
     /// Evaluates the instance at one level-order slot: its output net
@@ -584,7 +754,7 @@ impl TimingGraph {
     /// drives no net or no input has an arc. The one delay formula every
     /// consumer shares.
     #[inline]
-    fn eval(
+    pub(crate) fn eval(
         &self,
         lib: &Library,
         derating: &Derating,
@@ -654,24 +824,37 @@ impl TimingGraph {
             }
         }
         for &id in &self.ffs {
-            let inst = netlist.inst(id);
-            let cell = lib.cell(inst.cell);
-            let Some(qp) = self.cells.out_pin(inst.cell) else {
-                continue;
-            };
-            let Some(qnet) = inst.net_on(qp) else {
-                continue;
-            };
-            let load = g.load[qnet.index()];
-            if let Some(arc) = cell.arcs.first() {
-                let d = arc.delay(config.source_slew, load) * derating.factor(id);
-                nets[qnet.index()] = NetTiming {
-                    at: d,
-                    at_min: d,
-                    slew: arc.output_slew(load),
-                };
+            if let Some((qnet, timing)) = self.seed_ff(netlist, lib, config, derating, g, id) {
+                nets[qnet] = timing;
             }
         }
+    }
+
+    /// A flip-flop's source timing: its `Q` net and that net's clock-to-Q
+    /// arrival and slew, or `None` when `Q` is unconnected or the cell
+    /// has no arc.
+    pub(crate) fn seed_ff(
+        &self,
+        netlist: &Netlist,
+        lib: &Library,
+        config: &StaConfig,
+        derating: &Derating,
+        g: &Gathered,
+        id: InstId,
+    ) -> Option<(usize, NetTiming)> {
+        let inst = netlist.inst(id);
+        let qnet = inst.net_on(self.cells.out_pin(inst.cell)?)?.index();
+        let arc = lib.cell(inst.cell).arcs.first()?;
+        let load = g.load[qnet];
+        let d = arc.delay(config.source_slew, load) * derating.factor(id);
+        Some((
+            qnet,
+            NetTiming {
+                at: d,
+                at_min: d,
+                slew: arc.output_slew(load),
+            },
+        ))
     }
 
     /// Runs the level-parallel forward propagation: sources are seeded,
@@ -692,14 +875,7 @@ impl TimingGraph {
         derating: &Derating,
         g: &Gathered,
     ) -> Vec<NetTiming> {
-        let mut nets = vec![
-            NetTiming {
-                at: Time::ZERO,
-                at_min: Time::new(f64::INFINITY),
-                slew: config.source_slew,
-            };
-            self.num_nets
-        ];
+        let mut nets = vec![NetTiming::unreached(config.source_slew); self.num_nets];
         self.seed_sources(netlist, lib, config, derating, g, &mut nets);
         let source_slew = config.source_slew;
         for level in 0..self.num_levels() {
@@ -725,10 +901,12 @@ impl TimingGraph {
         nets
     }
 
-    /// The required-time pass over the combinational core: walks the
-    /// level order backwards (every load of a net sits at a strictly
-    /// higher level than its driver, so each `required` read is final)
-    /// and lowers each input net's required time through each arc.
+    /// The required-time pass over `slots`, which must run from high to
+    /// low: each slot lowers its input nets' required times through its
+    /// arcs. Every load of a net sits at a strictly higher level than its
+    /// driver, so when `slots` holds every reader of a net, its required
+    /// time is final once the walk passes its driver. The full report
+    /// walks every slot, a probe only the output ports' fan-out cone.
     /// `required` arrives holding the endpoint requirements.
     pub(crate) fn propagate_required(
         &self,
@@ -736,9 +914,10 @@ impl TimingGraph {
         derating: &Derating,
         g: &Gathered,
         nets: &[NetTiming],
+        slots: impl Iterator<Item = usize>,
         required: &mut [Time],
     ) {
-        for slot in (0..self.order.len()).rev() {
+        for slot in slots {
             let onet = self.out_net[slot];
             if onet == NO_NET {
                 continue;
@@ -762,6 +941,13 @@ impl TimingGraph {
                 required[i] = required[i].min(r);
             }
         }
+    }
+
+    /// The nets on the input edges of a level-order slot, in edge order.
+    pub(crate) fn input_nets(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges[self.edge_range(slot)]
+            .iter()
+            .map(|e| e.net as usize)
     }
 }
 
@@ -796,6 +982,12 @@ impl SinkCache {
     #[inline]
     pub fn static_load(&self, net: NetId) -> Cap {
         self.load[net.index()]
+    }
+
+    /// The nets marked since the last refresh: the rows the next
+    /// [`SinkCache::refresh`] re-derives.
+    pub(crate) fn marked(&self) -> &[NetId] {
+        &self.stale
     }
 
     /// Marks a net's row for the next [`SinkCache::refresh`]: one of its

@@ -16,16 +16,20 @@
 //! All analysis runs on one engine, the shared levelized
 //! [`TimingGraph`] kernel (see [`graph`]): built once per netlist
 //! topology, it records levelization, each instance's output net and
-//! connected inputs, and the per-sink Elmore ordinal layout in flat
-//! arrays, and runs a level-parallel forward propagation followed by
-//! the required-time pass over them. It is bit-identical to the
-//! retired sequential walk, kept as [`analyze_baseline`], the
-//! differential-testing oracle. [`analyze`] builds a fresh graph per
-//! call; repeated-analysis callers build the graph once and use
-//! [`analyze_with_graph`], and per-corner loops also share one
-//! [`SinkCache`] through [`analyze_cached`] — across Vth swaps too,
-//! when the caller marks the swapped nets and calls
-//! [`SinkCache::refresh`].
+//! connected inputs, each net's readers, and the per-sink Elmore
+//! ordinal layout in flat arrays, and runs a level-parallel forward
+//! propagation followed by the required-time pass over them. It is
+//! bit-identical to the retired sequential walk, kept as
+//! [`analyze_baseline`], the differential-testing oracle. [`analyze`]
+//! builds a fresh graph per call; repeated-analysis callers build the
+//! graph once and use [`analyze_with_graph`], or keep one [`SinkCache`]
+//! too and use [`analyze_cached`]. Per-corner loops build one
+//! [`TimingState`] (see [`state`]) for all their libraries, so the
+//! libraries share one gather; [`analyze_cached`] is its one-library
+//! fresh case. The Dual-Vth probes keep one state across Vth swaps:
+//! each probe re-gathers only the rows its swaps touched, re-times only
+//! the slots whose inputs changed, and takes its WNS without the full
+//! required-time pass.
 //!
 //! ```no_run
 //! use smt_cells::library::Library;
@@ -46,6 +50,7 @@
 pub mod analysis;
 pub mod graph;
 pub mod report;
+pub mod state;
 
 pub use analysis::{
     analyze, analyze_baseline, analyze_cached, analyze_with_graph, merge_hold_violations,
@@ -53,3 +58,4 @@ pub use analysis::{
 };
 pub use graph::{SinkCache, TimingGraph};
 pub use report::{render_report, worst_paths, ReportedPath};
+pub use state::TimingState;

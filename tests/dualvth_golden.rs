@@ -1,6 +1,9 @@
 //! Dual-Vth golden: pins the exact outcome of the Dual-Vth assignment
 //! (Fig. 4 step 2) on the five smoke designs and the standard-scale
-//! pipeline, under three flow configurations.
+//! pipeline, under four flow configurations: Improved-SMT (the default)
+//! with and without a high-Vth cap, and Dual-Vth and Improved-SMT at
+//! the slow/typical/fast corners, whose probes time two setup libraries
+//! (with and without the low-Vth derate).
 //!
 //! Each case runs the flow up to and including `AssignDualVth` and
 //! digests the result: an `Fnv64` over the netlist fingerprint (which
@@ -65,7 +68,11 @@ fn dual_vth_assignments_match_their_golden_digests() {
         corners: CornerSet::slow_typ_fast(),
         ..FlowConfig::default()
     };
-    let cases: [(&str, FlowConfig, [u64; 6]); 3] = [
+    let improved_three_corner = FlowConfig {
+        corners: CornerSet::slow_typ_fast(),
+        ..FlowConfig::default()
+    };
+    let cases: [(&str, FlowConfig, [u64; 6]); 4] = [
         (
             "default",
             FlowConfig::default(),
@@ -100,6 +107,18 @@ fn dual_vth_assignments_match_their_golden_digests() {
                 0x90f0_206e_0f60_5a05,
                 0xc7fb_348b_e028_de8e,
                 0xa6fb_6cd4_a8aa_1d5e,
+            ],
+        ),
+        (
+            "default, 3 corners",
+            improved_three_corner,
+            [
+                0x6ae2_fed4_5eca_7d42,
+                0x7e6d_8cb2_5e59_3dd0,
+                0x85c9_dbc0_702d_ca21,
+                0x7d3e_0f4c_c14e_0f71,
+                0x450a_e07e_f406_9247,
+                0xb9f5_5c82_22b8_831a,
             ],
         ),
     ];

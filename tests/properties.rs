@@ -5,6 +5,7 @@
 //! framework, so the sampled inputs are identical on every run and every
 //! platform.
 
+use selective_mt::base::units::Time;
 use selective_mt::base::SplitMix64;
 use selective_mt::cells::cell::{CellId, VthClass};
 use selective_mt::cells::library::Library;
@@ -348,6 +349,364 @@ fn leakage_model_monotonicity() {
         assert!(t.subthreshold_leak(w, Volt::new(vth + 0.05), depth) < base);
         assert!(t.subthreshold_leak(w, Volt::new(vth), depth + 1) < base);
     }
+}
+
+/// The resident `TimingState` the Dual-Vth probes keep across swaps is
+/// bit-identical to a fresh analysis after every probe. One assertion
+/// helper runs a table of cases over random swap schedules: single L↔H
+/// swaps of logic cells and of flip-flops (whose `Q` nets must be
+/// re-seeded), a cell swapped and swapped back between two probes,
+/// drive swaps (which change pin caps, so the swapped cell's input nets
+/// change load), and batches of up to hundreds of swaps per probe as the
+/// bisection makes them. The cases cover derates of 1.0 and 1.3 on
+/// low-Vth logic; one and three corner libraries; estimated parasitics
+/// and extracted ones, whose per-sink Elmore delays move when a swap
+/// shifts a sink's ordinal; netlists whose output-port nets also feed
+/// logic, so their required times come from the backward pass; and a
+/// library whose high-Vth cells time like their low-Vth twins, with
+/// flip-flop derates of `-0.0` (low) and `+0.0` (high), so a swap only
+/// flips the sign of a `Q` arrival, which `==` would miss. After every
+/// probe, the state's WNS must equal `analyze_cached` (fresh cache) and
+/// `analyze_baseline` bit for bit at every corner, and the state's
+/// report must equal `analyze_cached`'s field for field.
+#[test]
+fn resident_timing_state_is_bit_identical_to_fresh_analysis() {
+    use selective_mt::cells::cell::CellRole;
+    use selective_mt::cells::corner::{CornerLibrary, CornerSet};
+    use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
+    use selective_mt::netlist::netlist::{InstId, Netlist, PortDir};
+    use selective_mt::place::{place, PlacerConfig};
+    use selective_mt::route::{route_global, Parasitics, RouteConfig};
+    use selective_mt::sta::{
+        analyze_baseline, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport,
+        TimingState,
+    };
+
+    /// How the derating table follows each instance's cell.
+    #[derive(Debug, Clone, Copy)]
+    enum Derate {
+        /// No table: every factor is 1.0.
+        None,
+        /// The Dual-Vth rule: this factor on low-Vth logic, 1.0 elsewhere.
+        LowVthLogic(f64),
+        /// Flip-flops at `-0.0` when low-Vth and `+0.0` when high-Vth,
+        /// 1.0 elsewhere: their `Q` arrivals are signed zeros.
+        SignedZeroFfs,
+    }
+
+    impl Derate {
+        fn factor(self, lib: &Library, n: &Netlist, id: InstId) -> f64 {
+            let cell = lib.cell(n.inst(id).cell);
+            match self {
+                Derate::None => 1.0,
+                Derate::LowVthLogic(f) if cell.vth == VthClass::Low && cell.is_logic() => f,
+                Derate::SignedZeroFfs if cell.is_sequential() => {
+                    if cell.vth == VthClass::Low {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                }
+                _ => 1.0,
+            }
+        }
+
+        fn table(self, lib: &Library, n: &Netlist) -> Derating {
+            if let Derate::None = self {
+                return Derating::none();
+            }
+            let mut d = Derating::uniform(n);
+            for (id, _) in n.instances() {
+                d.set(id, self.factor(lib, n, id));
+            }
+            d
+        }
+    }
+
+    struct Case {
+        name: &'static str,
+        lib: Library,
+        netlist: Netlist,
+        extracted: bool,
+        corners: bool,
+        derate: Derate,
+        seed: u64,
+    }
+
+    /// The other Vth flavour of a cell (L↔H).
+    fn vth_twin(lib: &Library, cell: CellId) -> Option<CellId> {
+        let want = match lib.cell(cell).vth {
+            VthClass::Low => VthClass::High,
+            _ => VthClass::Low,
+        };
+        lib.variant_id(cell, want)
+    }
+
+    /// The other drive of a logic cell (X1↔X2), same function and Vth.
+    fn drive_twin(lib: &Library, cell: CellId) -> Option<CellId> {
+        let c = lib.cell(cell);
+        let drive = match c.drive {
+            1 => 2,
+            2 => 1,
+            _ => return None,
+        };
+        let name = format!("{}_X{}_{}", c.kind.base_name(), drive, c.vth.suffix());
+        lib.find_id(&name)
+    }
+
+    /// Per-net timing equal bit for bit; names the first net that is not.
+    fn assert_bits(tag: &str, what: &str, a: &[Time], b: &[Time]) {
+        assert_eq!(a.len(), b.len(), "{tag}: {what} length");
+        let bits = |t: Time| t.ps().to_bits();
+        if let Some(i) = (0..a.len()).find(|&i| bits(a[i]) != bits(b[i])) {
+            panic!("{tag}: {what} of net {i}: {:?} vs {:?}", a[i], b[i]);
+        }
+    }
+
+    fn assert_same_report(tag: &str, a: &TimingReport, b: &TimingReport) {
+        assert_bits(tag, "arrival", &a.arrival, &b.arrival);
+        assert_bits(tag, "min arrival", &a.arrival_min, &b.arrival_min);
+        assert_bits(tag, "slew", &a.slew, &b.slew);
+        assert_bits(tag, "required", &a.required, &b.required);
+        assert_bits(tag, "wns", &[a.wns], &[b.wns]);
+        assert_bits(tag, "tns", &[a.tns], &[b.tns]);
+        assert_eq!(a.hold_violations, b.hold_violations, "{tag}: hold");
+    }
+
+    /// Runs 40 probes of the case's swap schedule on one resident state
+    /// and checks each against fresh analyses.
+    fn assert_probes_match(case: Case) {
+        let Case {
+            name,
+            lib,
+            netlist: mut n,
+            extracted,
+            corners,
+            derate,
+            seed,
+        } = case;
+        let lib = &lib;
+        // Every case has an output-port net that also feeds logic.
+        assert!(
+            n.ports()
+                .any(|(_, p)| p.dir == PortDir::Output && !n.net(p.net).loads.is_empty()),
+            "{name}: an output-port net feeds logic"
+        );
+        let p = place(&n, lib, &PlacerConfig::default());
+        let par = if extracted {
+            let route = route_global(&n, lib, &p, &RouteConfig::default());
+            Parasitics::extract(&n, lib, &p, &route)
+        } else {
+            Parasitics::estimate(&n, lib, &p)
+        };
+        let cfg = StaConfig::default();
+        let corner_libs = CornerLibrary::build_set(lib, &CornerSet::slow_typ_fast());
+        let libs: Vec<&Library> = if corners {
+            corner_libs.iter().map(|c| &c.lib).collect()
+        } else {
+            vec![lib]
+        };
+        let logic: Vec<InstId> = n
+            .instances()
+            .filter(|(_, i)| lib.cell(i.cell).role == CellRole::Logic)
+            .map(|(id, _)| id)
+            .collect();
+        let ffs: Vec<InstId> = n
+            .instances()
+            .filter(|(_, i)| lib.cell(i.cell).is_sequential())
+            .map(|(id, _)| id)
+            .collect();
+        let swappable: Vec<InstId> = logic.iter().chain(&ffs).copied().collect();
+        assert!(!ffs.is_empty(), "{name}: the swaps include flip-flops");
+
+        let graph = TimingGraph::build(&n, lib).unwrap();
+        let mut cache = graph.build_cache(&n);
+        let mut der = derate.table(lib, &n);
+        let mut state = TimingState::new(&graph, &cache, &n, &libs, &par, &cfg, &der);
+        let mut rng = SplitMix64::new(seed);
+        let mut last = swappable[0];
+        for step in 0..40usize {
+            // The swaps since the last probe, as (instance, drive swap).
+            let kind = rng.next_below(5);
+            let mut batch = Vec::new();
+            match kind {
+                0 => batch.push((swappable[rng.next_below(swappable.len())], false)),
+                1 => batch.push((ffs[rng.next_below(ffs.len())], false)),
+                2 => {
+                    // Swapped and swapped back: the same cell again, but
+                    // its pins now sit at the ends of their load lists.
+                    let id = if rng.next_below(2) == 0 {
+                        last
+                    } else {
+                        swappable[rng.next_below(swappable.len())]
+                    };
+                    batch.extend([(id, false), (id, false)]);
+                }
+                3 => batch.push((logic[rng.next_below(logic.len())], true)),
+                _ => {
+                    for _ in 0..1 + rng.next_below(swappable.len().min(300)) {
+                        batch.push((swappable[rng.next_below(swappable.len())], false));
+                    }
+                }
+            }
+            last = batch[0].0;
+            for &(id, drive) in &batch {
+                let cell = n.inst(id).cell;
+                let twin = if drive {
+                    drive_twin(lib, cell)
+                } else {
+                    vth_twin(lib, cell)
+                };
+                let Some(target) = twin else {
+                    continue;
+                };
+                n.replace_cell(id, target, lib).unwrap();
+                if !matches!(derate, Derate::None) {
+                    der.set(id, derate.factor(lib, &n, id));
+                }
+                state.mark_swap(&mut cache, &n, id);
+            }
+
+            state.update(&mut cache, &n, &der);
+            let fresh_cache = graph.build_cache(&n);
+            assert_eq!(cache, fresh_cache, "{name} step {step}: refreshed cache");
+            for (k, corner_lib) in libs.iter().enumerate() {
+                let tag = format!("{name} step {step} (kind {kind}) corner {k}");
+                let fresh = analyze_cached(&graph, &fresh_cache, &n, corner_lib, &par, &cfg, &der);
+                let baseline = analyze_baseline(&n, corner_lib, &par, &cfg, &der).unwrap();
+                let wns = state.wns(k, &cache, &n, &der);
+                assert_bits(&tag, "probe wns", &[wns], &[fresh.wns]);
+                assert_bits(&tag, "probe wns (baseline)", &[wns], &[baseline.wns]);
+                assert_same_report(&tag, &state.report(k, &cache, &n, &der), &fresh);
+            }
+        }
+    }
+
+    /// A random design whose outputs include internal nets that also
+    /// feed logic: every `every`-th loaded net.
+    fn tapped_random(lib: &Library, seed: u64, every: usize) -> Netlist {
+        let mut n = random_logic(
+            lib,
+            &RandomLogicConfig {
+                gates: 300,
+                seed,
+                ..RandomLogicConfig::default()
+            },
+        )
+        .expect("valid random_logic config");
+        let loaded: Vec<_> = n
+            .nets()
+            .filter(|(_, net)| net.driver.is_some() && !net.loads.is_empty())
+            .map(|(id, _)| id)
+            .collect();
+        for (i, &net) in loaded.iter().step_by(every.max(1)).enumerate() {
+            n.expose_output(&format!("tap{i}"), net);
+        }
+        n
+    }
+
+    /// The standard library with every high-Vth cell timed like its
+    /// low-Vth twin: a Vth swap then changes no delay, slew or pin cap.
+    fn twin_timed_lib() -> Library {
+        let base = lib();
+        let cells = base
+            .cells()
+            .iter()
+            .map(|c| {
+                let mut c = c.clone();
+                if let Some(low) = base.variant_of(&c, VthClass::Low) {
+                    c.arcs = low.arcs.clone();
+                }
+                c
+            })
+            .collect();
+        Library::from_cells(base.tech.clone(), base.config.clone(), cells)
+    }
+
+    let base = lib();
+    let fanout = standard_suite(SuiteScale::Smoke)
+        .into_iter()
+        .find(|w| w.name.starts_with("fanout"))
+        .expect("the smoke suite has a fanout design");
+    let fanout = generate(&base, &fanout.config).expect("suite configs are valid");
+    // Four taps, so most endpoints stay flip-flops.
+    let random = |case: u64| tapped_random(&base, 0x5747 + case, 80);
+    let cases = [
+        (
+            "random, estimated, 1 corner",
+            random(0),
+            false,
+            false,
+            Derate::None,
+        ),
+        (
+            "random, estimated, 3 corners, 1.3",
+            random(1),
+            false,
+            true,
+            Derate::LowVthLogic(1.3),
+        ),
+        (
+            "random, extracted, 1 corner, 1.3",
+            random(2),
+            true,
+            false,
+            Derate::LowVthLogic(1.3),
+        ),
+        (
+            "random, extracted, 3 corners",
+            random(3),
+            true,
+            true,
+            Derate::None,
+        ),
+        (
+            // Every loaded net an output: the port slacks read the
+            // required time of every net, so a stale one on the
+            // critical path moves the WNS.
+            "random, every net tapped, extracted, 3 corners, 1.3",
+            tapped_random(&base, 0x5747, 1),
+            true,
+            true,
+            Derate::LowVthLogic(1.3),
+        ),
+        (
+            "fanout, extracted, 3 corners, 1.3",
+            fanout.clone(),
+            true,
+            true,
+            Derate::LowVthLogic(1.3),
+        ),
+        (
+            "fanout, estimated, 1 corner",
+            fanout,
+            false,
+            false,
+            Derate::None,
+        ),
+    ];
+    for (i, (name, netlist, extracted, corners, derate)) in cases.into_iter().enumerate() {
+        assert_probes_match(Case {
+            name,
+            lib: lib(),
+            netlist,
+            extracted,
+            corners,
+            derate,
+            seed: 0xC0DE + i as u64,
+        });
+    }
+    let twin = twin_timed_lib();
+    let netlist = tapped_random(&twin, 0x5A, 80);
+    assert_probes_match(Case {
+        name: "random, twin-timed Vth, signed-zero flip-flop derates",
+        lib: twin,
+        netlist,
+        extracted: false,
+        corners: false,
+        derate: Derate::SignedZeroFfs,
+        seed: 0x5A,
+    });
 }
 
 /// The levelized `TimingGraph` kernel is bit-identical to the legacy
