@@ -22,7 +22,7 @@ use smt_circuits::rtl::circuit_b_rtl_sized;
 use smt_netlist::check::{analyze_with_threads, LintPolicy};
 use smt_place::{place, PlacerConfig};
 use smt_route::Parasitics;
-use smt_sta::{analyze_with_graph, Derating, StaConfig, TimingGraph};
+use smt_sta::{analyze, Derating, StaConfig};
 use smt_synth::{synthesize, SynthOptions};
 
 fn main() {
@@ -43,8 +43,8 @@ fn main() {
         let mut g = h.group("lint_circuit_b256");
         g.sample_size(20);
         let sta = g.bench("full STA analysis (reference)", || {
-            let graph = TimingGraph::build(&n, &lib).expect("acyclic");
-            analyze_with_graph(&graph, &n, &lib, &par, &cfg, &der)
+            analyze(&n, &lib, &par, &cfg, &der)
+                .expect("acyclic")
                 .wns
                 .ps()
         });

@@ -11,7 +11,7 @@ use smt_base::units::Time;
 use smt_cells::cell::VthClass;
 use smt_cells::library::Library;
 use smt_circuits::figures::fig_example;
-use smt_core::dualvth::{assign_dual_vth, DualVthConfig};
+use smt_core::dualvth::{assign_dual_vth_at_corners, DualVthConfig};
 use smt_core::smtgen::to_conventional_smt;
 use smt_place::{place, PlacerConfig};
 use smt_route::Parasitics;
@@ -42,7 +42,8 @@ fn main() {
         clock_period: crit * 1.15,
         ..Default::default()
     };
-    assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).expect("feasible");
+    assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+        .expect("feasible");
     let rep = to_conventional_smt(&mut n, &lib);
 
     println!(

@@ -13,7 +13,7 @@ use smt_cells::cell::{CellRole, VthClass};
 use smt_cells::library::Library;
 use smt_circuits::figures::fig_example;
 use smt_core::cluster::{construct_switch_structure, ClusterConfig};
-use smt_core::dualvth::{assign_dual_vth, DualVthConfig};
+use smt_core::dualvth::{assign_dual_vth_at_corners, DualVthConfig};
 use smt_core::smtgen::{insert_output_holders, to_improved_mt_cells};
 use smt_netlist::netlist::NetDriver;
 use smt_place::{place, PlacerConfig};
@@ -43,7 +43,8 @@ fn main() {
         clock_period: crit * 1.15,
         ..Default::default()
     };
-    assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).expect("feasible");
+    assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+        .expect("feasible");
     to_improved_mt_cells(&mut n, &lib);
     let holders = insert_output_holders(&mut n, &lib);
     let report = construct_switch_structure(&mut n, &lib, &mut p, &ClusterConfig::default());

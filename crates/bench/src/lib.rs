@@ -18,7 +18,7 @@ pub mod harness;
 use smt_base::report::{percent, Table};
 use smt_cells::corner::CornerSet;
 use smt_cells::library::Library;
-use smt_core::flow::{run_three_techniques, FlowConfig, FlowResult, Technique};
+use smt_core::flow::{run_three_techniques, FlowConfig, FlowResult};
 
 /// The two benchmark circuits of Table 1 and the flow margin that shapes
 /// their critical fraction (see DESIGN.md: circuit A is datapath-dense,
@@ -309,16 +309,4 @@ pub fn render_corner_summaries(rows: &[Table1Summary]) -> Table {
         }
     }
     t
-}
-
-/// Convenience used by several binaries: one flow with a given technique
-/// on circuit B (fast) — keeps the CLI demos snappy.
-pub fn quick_flow(lib: &Library, technique: Technique) -> FlowResult {
-    let cfg = FlowConfig {
-        technique,
-        ..FlowConfig::default()
-    };
-    smt_core::engine::FlowEngine::new(lib, cfg)
-        .run(&smt_circuits::rtl::circuit_b_rtl())
-        .expect("bundled circuit B flow succeeds")
 }

@@ -456,11 +456,6 @@ impl Cell {
         matches!(self.role, CellRole::Logic | CellRole::ClockBuf)
     }
 
-    /// Mean leakage in active (non-gated) mode.
-    pub fn active_leak_mean(&self) -> Current {
-        self.leakage.mean()
-    }
-
     /// The arc driving the output from a given input pin.
     pub fn arc_from(&self, from_pin: usize) -> Option<&TimingArc> {
         self.arcs.iter().find(|a| a.from_pin == from_pin)

@@ -209,12 +209,6 @@ impl CornerSet {
         self.corners.is_empty()
     }
 
-    /// True when this set is just the identity corner: the flow can keep
-    /// its single-corner fast path.
-    pub fn is_single_typical(&self) -> bool {
-        self.corners.len() == 1 && self.corners[0].is_identity()
-    }
-
     /// Checks the set invariants; returns a description of the first
     /// violation.
     ///

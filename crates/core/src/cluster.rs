@@ -19,7 +19,7 @@
 
 use crate::smtgen::{mt_vgnd_cells, mte_net};
 use smt_base::geom::{Point, Rect};
-use smt_base::units::{Current, Volt};
+use smt_base::units::Volt;
 use smt_cells::cell::CellRole;
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
@@ -311,13 +311,6 @@ pub fn embedded_width_equivalent(netlist: &Netlist, lib: &Library) -> f64 {
             }
         })
         .sum()
-}
-
-/// Quick feasibility probe used by ablations: the current a single maximal
-/// cluster would draw.
-pub fn max_cluster_current(netlist: &Netlist, lib: &Library) -> Current {
-    let cells = mt_vgnd_cells(netlist, lib);
-    cluster_current(lib, netlist, &cells)
 }
 
 #[cfg(test)]

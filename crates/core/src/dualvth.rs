@@ -244,23 +244,6 @@ fn candidate(
     lib.variant_id(low, VthClass::High).map(|high| (low, high))
 }
 
-/// Runs Dual-Vth assignment in place at a single corner (the original
-/// single-library entry point; see [`assign_dual_vth_at_corners`]).
-///
-/// # Errors
-///
-/// [`AssignVthError::InfeasibleConstraint`] when even the all-low design
-/// misses timing; [`AssignVthError::Cycle`] on combinational loops.
-pub fn assign_dual_vth(
-    netlist: &mut Netlist,
-    lib: &Library,
-    parasitics: &Parasitics,
-    sta_config: &StaConfig,
-    config: &DualVthConfig,
-) -> Result<DualVthReport, AssignVthError> {
-    assign_dual_vth_at_corners(netlist, &[lib], parasitics, sta_config, config)
-}
-
 /// Runs Dual-Vth assignment in place, preserving setup timing at *every*
 /// corner library simultaneously: each swap decision is judged on the
 /// worst-across-corners slack, so the assignment holds up at the slow
@@ -268,9 +251,8 @@ pub fn assign_dual_vth(
 ///
 /// All libraries must share cell ids (the [`smt_cells::corner`]
 /// invariant); `libs[0]` is used for cell metadata and variant lookup.
-/// With a single library this is exactly the original single-corner
-/// assignment. A low-Vth cell whose library has no high-Vth variant is
-/// not a candidate: it stays low.
+/// A single-corner caller passes `&[lib]`. A low-Vth cell whose library
+/// has no high-Vth variant is not a candidate: it stays low.
 ///
 /// # Errors
 ///
@@ -458,7 +440,8 @@ mod tests {
             ..cfg0
         };
         let report =
-            assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap();
+            assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+                .unwrap();
         assert!(report.swapped_to_high > 0, "{report:?}");
         assert!(report.final_wns.ps() >= 0.0);
         // All shallow-path inverters should be high-Vth now.
@@ -502,8 +485,12 @@ mod tests {
                 .unwrap();
         assert!(report.swapped_to_high > 0, "{report:?}");
         // Timing holds at every setup corner, not just typical.
-        for l in &libs {
-            let r = analyze(&n, l, &par, &sta_cfg, &Derating::none()).unwrap();
+        let graph = TimingGraph::build(&n, &lib).unwrap();
+        let cache = graph.build_cache(&n);
+        let der = Derating::none();
+        let timing = TimingState::new(&graph, &cache, &n, &libs, &par, &sta_cfg, &der);
+        for (k, l) in libs.iter().enumerate() {
+            let r = timing.report(k, &cache, &n, &der);
             assert!(r.setup_met(), "corner lib {} wns {}", l.tech.name, r.wns);
         }
     }
@@ -519,7 +506,8 @@ mod tests {
             ..StaConfig::default()
         };
         let e =
-            assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap_err();
+            assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+                .unwrap_err();
         assert!(matches!(e, AssignVthError::InfeasibleConstraint { .. }));
         assert!(e.to_string().contains("infeasible"));
     }
@@ -545,7 +533,8 @@ mod tests {
             ..StaConfig::default()
         };
         let report =
-            assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap();
+            assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+                .unwrap();
         let invs = n.instances().filter(|(_, i)| i.cell == inv).count();
         assert_eq!(invs, 14, "every inverter stays INV_X1_L");
         assert_eq!(report.left_low, invs, "{report:?}");
@@ -564,7 +553,8 @@ mod tests {
             ..StaConfig::default()
         };
         let report =
-            assign_dual_vth(&mut n, &lib, &par, &sta_cfg, &DualVthConfig::default()).unwrap();
+            assign_dual_vth_at_corners(&mut n, &[&lib], &par, &sta_cfg, &DualVthConfig::default())
+                .unwrap();
         assert_eq!(report.left_low, 0, "{report:?}");
         // Everything (including FFs) went high.
         for (_, inst) in n.instances() {

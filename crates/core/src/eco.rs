@@ -1,8 +1,9 @@
-//! ECO: hold fixing and the MTE distribution network.
+//! ECO: setup recovery, hold fixing and the MTE distribution network.
 //!
-//! The last boxes of Fig. 4: buffer the heavily loaded MT-enable net, and
-//! fix hold violations (introduced by clock skew after CTS) by padding
-//! short paths with delay buffers.
+//! The last boxes of Fig. 4: buffer the heavily loaded MT-enable net,
+//! recover setup on extracted RC by swapping critical-path cells to
+//! faster variants, and fix hold violations (introduced by clock skew
+//! after CTS) by padding short paths with delay buffers.
 
 use crate::smtgen::mte_net;
 use smt_base::units::Time;
@@ -56,8 +57,8 @@ fn merge_hold_violations(reports: &[TimingReport]) -> Vec<smt_sta::HoldViolation
 }
 
 /// Times the netlist at every corner library from one graph, one sink
-/// cache and one gather; reports come back in `libs` order.
-fn corner_reports(
+/// cache and one [`TimingState`]; reports come back in `libs` order.
+pub(crate) fn corner_reports(
     netlist: &Netlist,
     libs: &[&Library],
     parasitics: &Parasitics,
@@ -75,42 +76,17 @@ fn corner_reports(
 }
 
 /// Fixes hold violations by inserting high-Vth delay buffers in front of
-/// violating flip-flop `D` pins, iterating STA → pad → STA (single-corner
-/// entry point; see [`fix_hold_at_corners`]).
+/// violating flip-flop `D` pins, iterating STA → pad → STA. Each round
+/// pads against the union of hold violations across every corner library
+/// (worst slack per flip-flop), so short paths are buffered enough to
+/// survive the fast corner, not just the corner the flow was tuned at.
+/// `libs[0]` supplies the buffer cell; a single-corner caller passes
+/// `&[lib]`.
 ///
 /// # Errors
 ///
 /// Propagates combinational-cycle errors from STA (cannot occur on
 /// netlists this flow produces).
-pub fn fix_hold(
-    netlist: &mut Netlist,
-    placement: &mut Placement,
-    lib: &Library,
-    parasitics: &Parasitics,
-    sta_config: &StaConfig,
-    derating: &Derating,
-    max_rounds: usize,
-) -> Result<HoldFixReport, smt_netlist::graph::CombinationalCycle> {
-    fix_hold_at_corners(
-        netlist,
-        placement,
-        &[lib],
-        parasitics,
-        sta_config,
-        derating,
-        max_rounds,
-    )
-}
-
-/// Multi-corner hold fixing: each round pads against the union of hold
-/// violations across every corner library (worst slack per flip-flop), so
-/// short paths are buffered enough to survive the fast corner, not just
-/// the corner the flow was tuned at. `libs[0]` supplies the buffer cell;
-/// with a single library this is exactly [`fix_hold`].
-///
-/// # Errors
-///
-/// Propagates combinational-cycle errors from STA.
 pub fn fix_hold_at_corners(
     netlist: &mut Netlist,
     placement: &mut Placement,
@@ -189,35 +165,12 @@ pub struct SetupFixReport {
 /// Post-route setup recovery: while setup fails, walk the worst path and
 /// make its cells faster — high-Vth logic returns to low-Vth (trading
 /// leakage for speed, exactly the Dual-Vth trade), and already-fast cells
-/// are drive-upsized. Mirrors the "ECO" box of Fig. 4. (Single-corner
-/// entry point; see [`recover_setup_at_corners`].)
+/// are drive-upsized. Mirrors the "ECO" box of Fig. 4.
 ///
-/// # Errors
-///
-/// Propagates combinational-cycle errors from STA.
-pub fn recover_setup(
-    netlist: &mut Netlist,
-    lib: &Library,
-    parasitics: &Parasitics,
-    sta_config: &StaConfig,
-    derating: &Derating,
-    max_rounds: usize,
-) -> Result<SetupFixReport, smt_netlist::graph::CombinationalCycle> {
-    recover_setup_at_corners(
-        netlist,
-        &[lib],
-        parasitics,
-        sta_config,
-        derating,
-        max_rounds,
-    )
-}
-
-/// Multi-corner setup recovery: each round times every corner library,
-/// stops when setup is met at *all* of them, and otherwise walks the
-/// worst path of the *worst* corner (the binding one). `libs[0]` is used
-/// for variant/drive lookups; with a single library this is exactly
-/// [`recover_setup`].
+/// Each round times every corner library, stops when setup is met at
+/// *all* of them, and otherwise walks the worst path of the *worst*
+/// corner (the binding one). `libs[0]` is used for variant/drive
+/// lookups; a single-corner caller passes `&[lib]`.
 ///
 /// # Errors
 ///
@@ -233,19 +186,21 @@ pub fn recover_setup_at_corners(
     use smt_sta::worst_path;
     assert!(!libs.is_empty(), "at least one corner library");
     let lib = libs[0];
-    // Graph and sink cache are built once for the whole recovery: every
-    // fix below is a same-pin variant/drive swap, so topology and levels
-    // never change. Each swap marks the nets on its input pins, and each
-    // round first re-derives those cache rows, then gathers once for
-    // every corner library. (A future fix that inserts cells must
-    // rebuild both.)
+    // One graph, sink cache and timing state serve the whole recovery:
+    // every fix below is a same-pin variant/drive swap, so topology and
+    // levels never change. Each swap is recorded in the state, and each
+    // round's update re-gathers and re-times only what the swaps touched
+    // at every corner library. (A future fix that inserts cells must
+    // rebuild all three.)
     let graph = TimingGraph::build(netlist, lib)?;
     let mut cache = graph.build_cache(netlist);
-    let worst_corner = |cache: &mut SinkCache, netlist: &Netlist| {
-        cache.refresh(&graph, netlist);
-        let timing = TimingState::new(
-            &graph, cache, netlist, libs, parasitics, sta_config, derating,
-        );
+    let mut timing = TimingState::new(
+        &graph, &cache, netlist, libs, parasitics, sta_config, derating,
+    );
+    // The binding corner after the swaps so far: the first library with
+    // the lowest WNS, with its full report.
+    let worst_corner = |timing: &mut TimingState<'_>, cache: &mut SinkCache, netlist: &Netlist| {
+        timing.update(cache, netlist, derating);
         let mut worst: Option<(usize, TimingReport)> = None;
         for k in 0..libs.len() {
             let t = timing.report(k, cache, netlist, derating);
@@ -257,12 +212,12 @@ pub fn recover_setup_at_corners(
     };
     let mut report = SetupFixReport::default();
     for _ in 0..max_rounds {
-        let (k, timing) = worst_corner(&mut cache, netlist);
-        report.final_wns_ps = timing.wns.ps();
-        if timing.setup_met() {
+        let (k, worst) = worst_corner(&mut timing, &mut cache, netlist);
+        report.final_wns_ps = worst.wns.ps();
+        if worst.setup_met() {
             return Ok(report);
         }
-        let path = worst_path(netlist, libs[k], &timing);
+        let path = worst_path(netlist, libs[k], &worst);
         let mut changed = 0usize;
         for inst in path {
             let cell = lib.cell(netlist.inst(inst).cell);
@@ -272,7 +227,7 @@ pub fn recover_setup_at_corners(
             if cell.vth == VthClass::High {
                 if let Some(low) = lib.variant_id(netlist.inst(inst).cell, VthClass::Low) {
                     netlist.replace_cell(inst, low, lib).expect("variant swap");
-                    cache.mark_inputs(netlist, inst);
+                    timing.mark_swap(&mut cache, netlist, inst);
                     report.vth_downgrades += 1;
                     report.touched.push(inst);
                     changed += 1;
@@ -287,7 +242,7 @@ pub fn recover_setup_at_corners(
                 );
                 if let Some(bigger) = lib.find_id(&name) {
                     netlist.replace_cell(inst, bigger, lib).expect("drive swap");
-                    cache.mark_inputs(netlist, inst);
+                    timing.mark_swap(&mut cache, netlist, inst);
                     report.upsizes += 1;
                     report.touched.push(inst);
                     changed += 1;
@@ -301,8 +256,8 @@ pub fn recover_setup_at_corners(
             break;
         }
     }
-    let (_, timing) = worst_corner(&mut cache, netlist);
-    report.final_wns_ps = timing.wns.ps();
+    let (_, worst) = worst_corner(&mut timing, &mut cache, netlist);
+    report.final_wns_ps = worst.wns.ps();
     Ok(report)
 }
 
@@ -349,7 +304,8 @@ mod tests {
             !before.hold_violations.is_empty(),
             "test needs violations to fix"
         );
-        let report = fix_hold(&mut n, &mut p, &lib, &par, &cfg, &Derating::none(), 6).unwrap();
+        let report =
+            fix_hold_at_corners(&mut n, &mut p, &[&lib], &par, &cfg, &Derating::none(), 6).unwrap();
         assert_eq!(report.remaining, 0, "{report:?}");
         assert!(report.buffers > 0);
         // And setup still holds (buffers only pad short paths).
@@ -402,7 +358,8 @@ mod tests {
         let before = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
         assert!(!before.setup_met(), "test needs a violation to recover");
 
-        let report = recover_setup(&mut n, &lib, &par, &cfg, &Derating::none(), 30).unwrap();
+        let report =
+            recover_setup_at_corners(&mut n, &[&lib], &par, &cfg, &Derating::none(), 30).unwrap();
         assert!(report.vth_downgrades > 0, "{report:?}");
         let after = analyze(&n, &lib, &par, &cfg, &Derating::none()).unwrap();
         assert!(after.setup_met(), "wns {} after {report:?}", after.wns);

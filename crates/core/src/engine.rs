@@ -35,7 +35,7 @@ use crate::cluster::{
     cluster_state, construct_switch_structure, ClusterConfig, SwitchStructureReport,
 };
 use crate::dualvth::{assign_dual_vth_at_corners, AssignVthError, DualVthConfig, DualVthReport};
-use crate::eco::{distribute_mte, fix_hold_at_corners, HoldFixReport};
+use crate::eco::{corner_reports, distribute_mte, fix_hold_at_corners, HoldFixReport};
 use crate::reopt::{reoptimize_switches_at_corners, ReoptReport};
 use crate::smtgen::{
     insert_initial_switch, insert_output_holders, to_conventional_smt, to_improved_mt_cells,
@@ -51,7 +51,7 @@ use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
 use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, RouteError, Router};
 use smt_sim::EquivCache;
-use smt_sta::{analyze, Derating, StaConfig, TimingGraph, TimingReport, TimingState};
+use smt_sta::{Derating, StaConfig, TimingGraph, TimingReport, TimingState};
 use smt_synth::{synthesize, SynthError, SynthOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -1320,25 +1320,21 @@ impl Stage for PlaceAndClock {
         // Clock selection: probe the all-low critical delay with a huge
         // period at every setup corner — the slowest corner's critical
         // delay is what the clock must accommodate — then apply the
-        // margin (unless the period is pinned).
+        // margin (unless the period is pinned). The subtraction rounds
+        // monotonically, so the period minus the worst WNS is the worst
+        // corner's critical delay bit for bit.
         let probe_cfg = StaConfig {
             clock_period: Time::from_ns(1000.0),
             ..cfg.sta.clone()
         };
-        let mut crit = Time::new(f64::NEG_INFINITY);
-        let mut probe_wns = Time::new(f64::INFINITY);
-        for lib in ctx.setup_libs() {
-            let probe = analyze(
-                &state.netlist,
-                lib,
-                &parasitics,
-                &probe_cfg,
-                &Derating::none(),
-            )
-            .map_err(FlowError::Cycle)?;
-            crit = crit.max(probe_cfg.clock_period - probe.wns);
-            probe_wns = probe_wns.min(probe.wns);
-        }
+        let probe_wns = worst_wns(
+            &state.netlist,
+            &ctx.setup_libs(),
+            &parasitics,
+            &probe_cfg,
+            &Derating::none(),
+        )?;
+        let crit = probe_cfg.clock_period - probe_wns;
         let clock_period = cfg
             .clock_period
             .unwrap_or(crit * cfg.period_margin)
@@ -1477,13 +1473,8 @@ impl Stage for ClusterSwitches {
                 d
             };
             let par = Parasitics::estimate(&state.netlist, lib, placement);
-            let mut setup_met = true;
-            for corner_lib in ctx.setup_libs() {
-                let timing = analyze(&state.netlist, corner_lib, &par, &sta_cfg, &derates)
-                    .map_err(FlowError::Cycle)?;
-                setup_met &= timing.setup_met();
-            }
-            if setup_met || attempt == cfg.recluster_retries {
+            let wns = worst_wns(&state.netlist, &ctx.setup_libs(), &par, &sta_cfg, &derates)?;
+            if wns.ps() >= 0.0 || attempt == cfg.recluster_retries {
                 state.cluster = Some(report);
                 break;
             }
@@ -1811,6 +1802,23 @@ impl Stage for Signoff {
         state.power_ledger = Some(ledger);
         Ok(())
     }
+}
+
+/// The worst setup WNS of `netlist` across the corner libraries `libs`,
+/// timed by one [`TimingState`] over all of them.
+fn worst_wns(
+    netlist: &Netlist,
+    libs: &[&Library],
+    parasitics: &Parasitics,
+    config: &StaConfig,
+    derating: &Derating,
+) -> Result<Time, FlowError> {
+    let reports =
+        corner_reports(netlist, libs, parasitics, config, derating).map_err(FlowError::Cycle)?;
+    Ok(reports
+        .iter()
+        .map(|r| r.wns)
+        .fold(Time::new(f64::INFINITY), Time::min))
 }
 
 /// Places support cells added after initial placement (output holders) at

@@ -11,7 +11,7 @@
 //!   clustering and switch sizing under voltage-bounce, VGND-wirelength
 //!   and electromigration constraints;
 //! * [`reopt`] — post-route switch re-optimization on extracted RC;
-//! * [`eco`] — MTE-net buffering and hold fixing;
+//! * [`eco`] — MTE-net buffering, setup recovery and hold fixing;
 //! * [`mod@verify`] — structural, functional and standby-safety verification;
 //! * [`engine`] — the composable Fig. 4 stage-graph: [`engine::Stage`]s
 //!   over a shared [`engine::DesignState`], driven by an
@@ -64,7 +64,7 @@ pub mod verify;
 pub use cache::{CacheStats, DesignCache};
 pub use cluster::{construct_switch_structure, ClusterConfig, SwitchStructureReport};
 pub use crosstalk::{analyze_crosstalk, worst_noise, CrosstalkConfig, CrosstalkReport};
-pub use dualvth::{assign_dual_vth, assign_dual_vth_at_corners, DualVthConfig, DualVthReport};
+pub use dualvth::{assign_dual_vth_at_corners, DualVthConfig, DualVthReport};
 pub use engine::{
     lint_policy, run_sweep, Checkpoint, CornerSignoff, DesignState, FlowContext, FlowEngine,
     FlowError, Observer, Stage, StageId, StageLogger, StageMetrics, SweepOutcome, SweepRun,

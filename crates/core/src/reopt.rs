@@ -27,28 +27,17 @@ pub struct ReoptReport {
     pub unresolved: usize,
 }
 
-/// Re-sizes every cluster's switch against post-route VGND lengths at a
-/// single corner (see [`reoptimize_switches_at_corners`]).
+/// Re-sizes every cluster's switch against post-route VGND lengths,
+/// for the *binding* corner — the one demanding the widest switch once
+/// its own on-resistance, wire resistance and peak current are accounted
+/// for (the slow corner's resistive devices bounce hardest). A cluster
+/// is `unresolved` if *any* corner cannot be satisfied by the widest
+/// switch available. `libs[0]` performs the netlist edits; cell ids are
+/// shared across corner libraries, and a single-corner caller passes
+/// `&[lib]`.
 ///
 /// `net_length` should come from extraction
 /// ([`smt_route::Parasitics::extract`], via `|n| par.net(n).length_um`).
-pub fn reoptimize_switches(
-    netlist: &mut Netlist,
-    lib: &Library,
-    bounce_limit: Volt,
-    net_length: impl Fn(NetId) -> f64,
-) -> ReoptReport {
-    reoptimize_switches_at_corners(netlist, &[lib], bounce_limit, net_length)
-}
-
-/// Multi-corner re-optimization: each cluster's switch is sized for the
-/// *binding* corner — the one demanding the widest switch once its own
-/// on-resistance, wire resistance and peak current are accounted for
-/// (the slow corner's resistive devices bounce hardest). A cluster is
-/// `unresolved` if *any* corner cannot be satisfied by the widest switch
-/// available. `libs[0]` performs the netlist edits; cell ids are shared
-/// across corner libraries. With a single library this is exactly
-/// [`reoptimize_switches`].
 pub fn reoptimize_switches_at_corners(
     netlist: &mut Netlist,
     libs: &[&Library],
@@ -159,7 +148,8 @@ mod tests {
     fn longer_real_wires_force_upsizing() {
         let (lib, mut n, _p) = setup();
         // Pretend routing tripled every VGND length vs the estimate.
-        let r = reoptimize_switches(&mut n, &lib, Volt::from_millivolts(50.0), |_| 900.0);
+        let r =
+            reoptimize_switches_at_corners(&mut n, &[&lib], Volt::from_millivolts(50.0), |_| 900.0);
         assert!(r.upsized > 0, "{r:?}");
         assert!(r.width_delta_um > 0.0);
         // After upsizing, bounce is within limits again.
@@ -172,7 +162,8 @@ mod tests {
     fn shorter_real_wires_recover_area() {
         let (lib, mut n, _p) = setup();
         // Real lengths shorter than the estimate: allow downsizing.
-        let r = reoptimize_switches(&mut n, &lib, Volt::from_millivolts(50.0), |_| 1.0);
+        let r =
+            reoptimize_switches_at_corners(&mut n, &[&lib], Volt::from_millivolts(50.0), |_| 1.0);
         assert!(r.downsized > 0, "{r:?}");
         assert!(r.width_delta_um < 0.0);
         assert_eq!(r.unresolved, 0);
@@ -190,9 +181,10 @@ mod tests {
                 .unwrap_or(0.0)
         };
         let lens: Vec<f64> = n.nets().map(|(id, _)| len(id)).collect();
-        let r = reoptimize_switches(&mut n, &lib, Volt::from_millivolts(50.0), |id| {
-            lens[id.index()]
-        });
+        let r =
+            reoptimize_switches_at_corners(&mut n, &[&lib], Volt::from_millivolts(50.0), |id| {
+                lens[id.index()]
+            });
         // Same lengths the clusterer used: at most trivial adjustments.
         assert_eq!(r.upsized, 0, "{r:?}");
     }

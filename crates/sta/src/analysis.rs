@@ -1,20 +1,22 @@
 //! Forward/backward timing propagation, slack, critical paths, and hold
 //! analysis.
 //!
-//! Every analysis runs the one [`TimingGraph`] kernel: [`analyze`]
-//! builds the levelized graph and sink cache for the current netlist,
-//! [`analyze_with_graph`] reuses a graph and builds the cache, and
-//! [`analyze_cached`] reuses both. [`analyze_cached`] is a fresh
-//! [`TimingState`] for one library read out as a report: the kernel
-//! gathers the live cell ids, wire delays and net loads once, then runs
-//! its forward propagation and its required-time pass over flat arrays,
-//! and the state turns the results into WNS, TNS and hold violations.
-//! The pre-kernel sequential implementation is kept verbatim as
+//! Every analysis runs the one [`TimingGraph`] kernel, through one of
+//! two ways in. [`analyze`] is the one-shot report: it builds the
+//! levelized graph and sink cache for the current netlist, then reads
+//! the report of a fresh one-library [`TimingState`]. A loop that times
+//! one netlist repeatedly — under several corner libraries, or across
+//! same-pin cell swaps — builds the graph, cache and state itself and
+//! keeps them (see [`crate::state`]). Either way the kernel gathers the
+//! live cell ids, wire delays and net loads once, runs its forward
+//! propagation and its required-time pass over flat arrays, and the
+//! state turns the results into WNS, TNS and hold violations. The
+//! pre-kernel sequential implementation is kept verbatim as
 //! [`analyze_baseline`] — the differential-testing reference the kernel
 //! is proven bit-identical against, and the only other STA
 //! implementation.
 
-use crate::graph::{sink_ordinal, SinkCache, TimingGraph};
+use crate::graph::{sink_ordinal, TimingGraph};
 use crate::state::TimingState;
 use smt_base::units::{Cap, Time};
 use smt_cells::library::Library;
@@ -187,12 +189,13 @@ fn net_load(netlist: &Netlist, lib: &Library, parasitics: &Parasitics, net: NetI
     pins + ports + parasitics.net(net).wire_cap
 }
 
-/// Runs setup and hold analysis.
+/// Runs setup and hold analysis: the one-shot report.
 ///
-/// Builds a fresh [`TimingGraph`] for the current topology and runs the
-/// shared kernel. Callers re-analyzing one topology many times (corner
-/// loops, Vth-assignment probes) should build the graph once and call
-/// [`analyze_with_graph`].
+/// Builds a fresh [`TimingGraph`] and [`SinkCache`](crate::SinkCache)
+/// for the current topology and reads the report of a one-library
+/// [`TimingState`] over them. A caller that re-times one topology many
+/// times (corner loops, Vth-assignment probes, ECO rounds) keeps the
+/// graph, cache and state instead.
 ///
 /// # Errors
 ///
@@ -211,54 +214,10 @@ pub fn analyze(
     derating: &Derating,
 ) -> Result<TimingReport, CombinationalCycle> {
     let graph = TimingGraph::build(netlist, lib)?;
-    Ok(analyze_with_graph(
-        &graph, netlist, lib, parasitics, config, derating,
-    ))
-}
-
-/// Runs the full setup/hold analysis over a prebuilt [`TimingGraph`].
-///
-/// The graph must have been built for this netlist's current topology
-/// (same nets, same load lists); corner variants of the build library
-/// are fine — corner derates move timing numbers, never pin lists.
-/// Results are bit-identical to [`analyze`] (and to the legacy
-/// [`analyze_baseline`]).
-pub fn analyze_with_graph(
-    graph: &TimingGraph,
-    netlist: &Netlist,
-    lib: &Library,
-    parasitics: &Parasitics,
-    config: &StaConfig,
-    derating: &Derating,
-) -> TimingReport {
     let cache = graph.build_cache(netlist);
-    analyze_cached(graph, &cache, netlist, lib, parasitics, config, derating)
-}
-
-/// [`analyze_with_graph`] with a caller-held [`SinkCache`]: the cache is
-/// corner-invariant, so building it once amortizes the last per-call
-/// rediscovery cost. It is the fresh case of [`TimingState`]; a loop
-/// that times one netlist under several libraries builds one state for
-/// all of them, so they share one gather, and a loop that swaps cells
-/// between probes keeps that state across the swaps
-/// ([`TimingState::update`]).
-///
-/// # Panics
-///
-/// Panics when the cache has marked nets that were not refreshed, or on
-/// a dangling [`PinRef`] (a stale cache).
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_cached(
-    graph: &TimingGraph,
-    cache: &SinkCache,
-    netlist: &Netlist,
-    lib: &Library,
-    parasitics: &Parasitics,
-    config: &StaConfig,
-    derating: &Derating,
-) -> TimingReport {
-    TimingState::new(graph, cache, netlist, &[lib], parasitics, config, derating)
-        .report(0, cache, netlist, derating)
+    let libs = [lib];
+    let state = TimingState::new(&graph, &cache, netlist, &libs, parasitics, config, derating);
+    Ok(state.report(0, &cache, netlist, derating))
 }
 
 /// The pre-kernel sequential analysis, kept verbatim as the reference

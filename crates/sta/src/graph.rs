@@ -1,7 +1,6 @@
-//! The levelized timing-graph kernel: the one STA engine behind
-//! [`analyze`](crate::analysis::analyze),
-//! [`analyze_with_graph`](crate::analysis::analyze_with_graph) and
-//! [`analyze_cached`](crate::analysis::analyze_cached).
+//! The levelized timing-graph kernel: the one STA engine behind both
+//! ways in, the one-shot [`analyze`](crate::analysis::analyze) and the
+//! resident [`TimingState`](crate::state::TimingState).
 //!
 //! A [`TimingGraph`] is built **once per netlist topology**. It holds, in
 //! flat arrays, the facts every analysis would otherwise rediscover per
@@ -42,10 +41,10 @@
 //! sink-ordinal table — live in a [`SinkCache`]. Both are
 //! corner-invariant, so a per-corner loop over an unchanged netlist
 //! shares one graph and one cache. A caller that swaps cells between
-//! probes (the Dual-Vth assignment) records each swap in its
-//! `TimingState`, which marks the nets on the swapped pins; the next
-//! update calls [`SinkCache::refresh`], which re-derives only those
-//! rows, then re-gathers and re-times only what they touch.
+//! probes (the Dual-Vth assignment, ECO setup recovery) records each
+//! swap in its `TimingState`, which marks the nets on the swapped pins;
+//! the next update calls [`SinkCache::refresh`], which re-derives only
+//! those rows, then re-gathers and re-times only what they touch.
 //!
 //! Propagation is **bit-identical** to the legacy sequential walk kept
 //! as [`analyze_baseline`](crate::analysis::analyze_baseline) (see
@@ -954,16 +953,16 @@ impl TimingGraph {
 /// Companion to a shared [`TimingGraph`] for one netlist state: per-net
 /// static loads (sink pin caps + port pad caps, wire cap excluded) and
 /// the sink-ordinal table. It is corner-invariant, so one cache serves
-/// every corner library of an unchanged netlist
-/// ([`analyze_cached`](crate::analysis::analyze_cached)).
+/// every corner library of one [`TimingState`](crate::state::TimingState).
 ///
 /// A same-pin cell swap changes the pin caps of the swapped instance's
 /// input nets and, through [`Netlist::replace_cell`], moves its pins to
 /// the end of their load lists, shifting the ordinals of the other sinks
-/// there. A caller that keeps one cache across such swaps marks those
-/// nets with [`mark_inputs`](SinkCache::mark_inputs) after each swap and
-/// calls [`refresh`](SinkCache::refresh) before the next analysis; every
-/// other edit needs a new graph and cache.
+/// there. A caller that keeps one cache across such swaps records each
+/// swap with [`TimingState::mark_swap`](crate::state::TimingState::mark_swap),
+/// which marks those nets, and the next
+/// [`TimingState::update`](crate::state::TimingState::update) refreshes
+/// them; every other edit needs a new graph and cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkCache {
     /// Sink ordinal per (instance, pin), CSR-indexed through the
@@ -1004,7 +1003,7 @@ impl SinkCache {
     /// Marks the nets on `inst`'s input pins after a same-pin swap of its
     /// cell: the swap changed a pin cap on each of them and moved the
     /// instance's pins to the end of their load lists.
-    pub fn mark_inputs(&mut self, netlist: &Netlist, inst: InstId) {
+    pub(crate) fn mark_inputs(&mut self, netlist: &Netlist, inst: InstId) {
         let inst = netlist.inst(inst);
         for (conn, dir) in inst.conns.iter().zip(&inst.pin_dirs) {
             if let (Some(net), PinDir::Input) = (conn, dir) {
@@ -1127,7 +1126,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "refresh it before analysing")]
     fn analysing_with_marked_nets_pending_panics() {
-        use crate::analysis::{analyze_cached, StaConfig};
+        use crate::analysis::StaConfig;
+        use crate::state::TimingState;
         let lib = Library::industrial_130nm();
         let mut n = Netlist::new("marked");
         let a = n.add_input("a");
@@ -1140,9 +1140,13 @@ mod tests {
         n.replace_cell(u, lib.find_id("INV_X1_H").unwrap(), &lib)
             .unwrap();
         cache.mark(a);
-        let par = Parasitics::default();
-        let cfg = StaConfig::default();
-        let _ = analyze_cached(&graph, &cache, &n, &lib, &par, &cfg, &Derating::none());
+        let (libs, par, cfg, der) = (
+            [&lib],
+            Parasitics::default(),
+            StaConfig::default(),
+            Derating::none(),
+        );
+        let _ = TimingState::new(&graph, &cache, &n, &libs, &par, &cfg, &der);
     }
 
     #[test]

@@ -20,16 +20,20 @@
 //! ordinal layout in flat arrays, and runs a level-parallel forward
 //! propagation followed by the required-time pass over them. It is
 //! bit-identical to the retired sequential walk, kept as
-//! [`analyze_baseline`], the differential-testing oracle. [`analyze`]
-//! builds a fresh graph per call; repeated-analysis callers build the
-//! graph once and use [`analyze_with_graph`], or keep one [`SinkCache`]
-//! too and use [`analyze_cached`]. Per-corner loops build one
-//! [`TimingState`] (see [`state`]) for all their libraries, so the
-//! libraries share one gather; [`analyze_cached`] is its one-library
-//! fresh case. The Dual-Vth probes keep one state across Vth swaps:
-//! each probe re-gathers only the rows its swaps touched, re-times only
-//! the slots whose inputs changed, and takes its WNS without the full
-//! required-time pass.
+//! [`analyze_baseline`], the differential-testing oracle.
+//!
+//! There are two ways in:
+//!
+//! * [`analyze`] — the one-shot report: builds the graph and its
+//!   [`SinkCache`] for the current netlist and reads one library's
+//!   report.
+//! * [`TimingState`] (see [`state`]) — every loop that times one
+//!   netlist more than once. One state times every corner library over
+//!   one gather. A loop that swaps cells keeps the state across the
+//!   swaps: it records each swap with [`TimingState::mark_swap`], and
+//!   [`TimingState::update`] re-gathers only the rows the swaps touched
+//!   and re-times only the slots whose inputs changed. A probe can then
+//!   take its WNS without the full required-time pass.
 //!
 //! ```no_run
 //! use smt_cells::library::Library;
@@ -53,8 +57,8 @@ pub mod report;
 pub mod state;
 
 pub use analysis::{
-    analyze, analyze_baseline, analyze_cached, analyze_with_graph, merge_hold_violations,
-    worst_path, Derating, HoldViolation, StaConfig, TimingReport,
+    analyze, analyze_baseline, merge_hold_violations, worst_path, Derating, HoldViolation,
+    StaConfig, TimingReport,
 };
 pub use graph::{SinkCache, TimingGraph};
 pub use report::{render_report, worst_paths, ReportedPath};

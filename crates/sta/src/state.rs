@@ -5,19 +5,21 @@
 //! of every level-order slot, the wire delay of every input pin and the
 //! total load of every net — and shares that gather across its corner
 //! libraries, each of which keeps one array of per-net arrival, min
-//! arrival and slew. [`analyze_cached`](crate::analysis::analyze_cached)
-//! is the fresh case: a state for one library, read out as a report.
+//! arrival and slew. It is the way into STA for every loop that times
+//! one netlist more than once; [`analyze`](crate::analysis::analyze),
+//! the one-shot report, reads a fresh state for one library.
 //!
-//! A caller that probes one netlist across same-pin swaps (the Dual-Vth
-//! assignment) records each swap with [`TimingState::mark_swap`] and
-//! calls [`TimingState::update`] before the next probe. The update
-//! refreshes the [`SinkCache`] rows the swaps marked, then re-gathers
-//! only those nets' loads and their readers' wire delays, plus the
-//! swapped instances' cell ids. It re-evaluates only the slots whose
-//! inputs changed, in level order, through the `eval` the full
-//! propagation uses, and a net's change reaches its readers only when
-//! its `(at, at_min, slew)` differs bitwise from before. The state
-//! therefore stays equal to a fresh one bit for bit.
+//! A caller that times one netlist across same-pin swaps (the Dual-Vth
+//! probes, ECO setup recovery) records each swap with
+//! [`TimingState::mark_swap`] and calls [`TimingState::update`] before
+//! it next reads timing. The update refreshes the [`SinkCache`] rows
+//! the swaps marked, then re-gathers only those nets' loads and their
+//! readers' wire delays, plus the swapped instances' cell ids. It
+//! re-evaluates only the slots whose inputs changed, in level order,
+//! through the `eval` the full propagation uses, and a net's change
+//! reaches its readers only when its `(at, at_min, slew)` differs
+//! bitwise from before. The state therefore stays equal to a fresh one
+//! bit for bit.
 //!
 //! [`TimingState::wns`] answers a probe without the full required-time
 //! pass. A flip-flop's setup slack reads only arrivals; an output port's
@@ -191,8 +193,8 @@ impl<'a> TimingState<'a> {
 
     /// Records a same-pin swap of `inst`'s cell, made with
     /// [`Netlist::replace_cell`]: marks the nets on its input pins in
-    /// the cache ([`SinkCache::mark_inputs`]) and remembers the instance
-    /// for the next [`TimingState::update`].
+    /// the cache and remembers the instance for the next
+    /// [`TimingState::update`].
     pub fn mark_swap(&mut self, cache: &mut SinkCache, netlist: &Netlist, inst: InstId) {
         cache.mark_inputs(netlist, inst);
         self.swapped.push(inst);

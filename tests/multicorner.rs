@@ -11,9 +11,17 @@
 //! three-corner set emits a per-corner signoff table for every
 //! technique, and the default (single-corner) configuration produces
 //! bit-identical primary results to an explicit typical-only set.
+//!
+//! The three-corner flows are also pinned: per technique on circuit B,
+//! and per smoke design under Improved-SMT, the `SuiteOutcome` digest
+//! (area, clock, WNS, leakage, census and the per-corner table) and the
+//! fingerprint of the final netlist. A change meant to move the
+//! three-corner flow must update these values deliberately; a speed-up
+//! or a refactor must leave them as they are.
 
 use selective_mt::prelude::*;
 use smt_cells::corner::CornerLibrary;
+use smt_core::suite::SuiteOutcome;
 use smt_place::{place, PlacerConfig};
 use smt_route::Parasitics;
 use smt_sta::{analyze, Derating, StaConfig};
@@ -28,6 +36,16 @@ fn bench_circuit(seed: u64, gates: usize, lib: &Library) -> smt_netlist::netlist
         },
     )
     .expect("valid random_logic config")
+}
+
+/// One flow result's pin: `label`, the digest of its `SuiteOutcome`
+/// and the fingerprint of the netlist it leaves.
+fn flow_pin(label: &str, r: &FlowResult) -> String {
+    format!(
+        "{label} {:016x} {:016x}",
+        SuiteOutcome::from_flow(r).digest(),
+        r.netlist.fingerprint()
+    )
 }
 
 /// Property: over the generated benchmark circuits, `analyze` times the
@@ -109,6 +127,79 @@ fn three_technique_flow_reports_three_corner_tables() {
             .unwrap();
         assert_eq!(fast.hold_violations, 0, "fast-corner hold clean");
     }
+    let pins: Vec<String> = ["dual_vth", "conventional", "improved"]
+        .iter()
+        .zip(&results)
+        .map(|(label, r)| flow_pin(label, r))
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            "dual_vth 877e461c3b8a8142 31bae86e38e43463",
+            "conventional aac431dd99713f75 7eb70e2419c51d7f",
+            "improved 54bef39ed798074f 13fd59d274889d42",
+        ]
+    );
+}
+
+/// The clock probe takes the worst critical delay across every setup
+/// corner wherever the binding slow corner sits in the set: the chosen
+/// clock does not depend on corner order, and the slow corner sets a
+/// longer one than the typical corner alone.
+#[test]
+fn clock_probe_is_bound_by_the_slow_corner_in_any_order() {
+    let lib = Library::industrial_130nm();
+    let rtl = circuit_b_rtl_sized(8);
+    let clock = |corners: Vec<Corner>| {
+        let cfg = FlowConfig {
+            corners: CornerSet { corners },
+            ..FlowConfig::default()
+        };
+        FlowEngine::new(&lib, cfg)
+            .run_until(&rtl, StageId::PlaceAndClock)
+            .unwrap()
+            .state()
+            .clock_period
+            .expect("clock chosen")
+    };
+    let slow_first = clock(vec![Corner::slow(), Corner::typical(), Corner::fast()]);
+    let typ_first = clock(vec![Corner::typical(), Corner::slow(), Corner::fast()]);
+    let typ_only = clock(vec![Corner::typical()]);
+    assert_eq!(slow_first.ps().to_bits(), typ_first.ps().to_bits());
+    assert!(slow_first > typ_only, "{slow_first} vs typical {typ_only}");
+}
+
+/// The smoke designs under Improved-SMT at slow/typ/fast, from their
+/// generated netlists: every design closes timing at every setup
+/// corner, and each flow's outcome digest and final netlist are pinned.
+#[test]
+fn smoke_designs_close_three_corner_improved_flows_at_their_pins() {
+    let lib = Library::industrial_130nm();
+    let cfg = FlowConfig {
+        technique: Technique::ImprovedSmt,
+        corners: CornerSet::slow_typ_fast(),
+        ..FlowConfig::default()
+    };
+    let expected = [
+        "pipeline_s2_w8 050a55e6ad2f75a8 9bcf2f8113d0e7cb",
+        "multiplier_w6 5ca8d623e8562f2d 8f27734c9644e166",
+        "fsm_bank_m4_s4 1282718cbfaca709 66dbef82f7b5b8a3",
+        "fanout_b4_r12 0f625d6a60ab4322 fc19f7db47760c24",
+        "random_300 fd7a304b7f293506 2231a10a7cf07263",
+    ];
+    let pins: Vec<String> = standard_suite(SuiteScale::Smoke)
+        .iter()
+        .map(|w| {
+            let netlist = generate(&lib, &w.config).expect("suite configs are valid");
+            let r =
+                run_flow_netlist(netlist, &lib, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            for c in r.corner_signoff.iter().filter(|c| c.corner.check_setup) {
+                assert!(c.wns.ps() >= 0.0, "{}: setup at {}", w.name, c.corner.name);
+            }
+            flow_pin(&w.name, &r)
+        })
+        .collect();
+    assert_eq!(pins, expected);
 }
 
 /// Bit-identity of the *flow*: the default configuration and an explicit

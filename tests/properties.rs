@@ -366,9 +366,10 @@ fn leakage_model_monotonicity() {
 /// library whose high-Vth cells time like their low-Vth twins, with
 /// flip-flop derates of `-0.0` (low) and `+0.0` (high), so a swap only
 /// flips the sign of a `Q` arrival, which `==` would miss. After every
-/// probe, the state's WNS must equal `analyze_cached` (fresh cache) and
+/// probe, the state's WNS must equal a fresh analysis (a one-library
+/// `TimingState` over a fresh cache, as `analyze` runs) and
 /// `analyze_baseline` bit for bit at every corner, and the state's
-/// report must equal `analyze_cached`'s field for field.
+/// report must equal the fresh analysis field for field.
 #[test]
 fn resident_timing_state_is_bit_identical_to_fresh_analysis() {
     use selective_mt::cells::cell::CellRole;
@@ -378,8 +379,7 @@ fn resident_timing_state_is_bit_identical_to_fresh_analysis() {
     use selective_mt::place::{place, PlacerConfig};
     use selective_mt::route::{route_global, Parasitics, RouteConfig};
     use selective_mt::sta::{
-        analyze_baseline, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport,
-        TimingState,
+        analyze_baseline, Derating, StaConfig, TimingGraph, TimingReport, TimingState,
     };
 
     /// How the derating table follows each instance's cell.
@@ -572,7 +572,9 @@ fn resident_timing_state_is_bit_identical_to_fresh_analysis() {
             assert_eq!(cache, fresh_cache, "{name} step {step}: refreshed cache");
             for (k, corner_lib) in libs.iter().enumerate() {
                 let tag = format!("{name} step {step} (kind {kind}) corner {k}");
-                let fresh = analyze_cached(&graph, &fresh_cache, &n, corner_lib, &par, &cfg, &der);
+                let one = [*corner_lib];
+                let fresh = TimingState::new(&graph, &fresh_cache, &n, &one, &par, &cfg, &der)
+                    .report(0, &fresh_cache, &n, &der);
                 let baseline = analyze_baseline(&n, corner_lib, &par, &cfg, &der).unwrap();
                 let wns = state.wns(k, &cache, &n, &der);
                 assert_bits(&tag, "probe wns", &[wns], &[fresh.wns]);
@@ -718,9 +720,10 @@ fn resident_timing_state_is_bit_identical_to_fresh_analysis() {
 /// swaps (flip-flops and repeated swaps of one cell included), as the
 /// Dual-Vth probes keep them: after each swap the marked cache rows are
 /// refreshed, and the cache must equal a fresh `build_cache` bit for
-/// bit, `analyze_cached` must equal `analyze_baseline` with and without
-/// a low-Vth derate, and the same-pin `replace_cell` must leave the
-/// netlist exactly as the general by-name rebind does.
+/// bit, a one-library `TimingState` over the resident graph and cache
+/// must equal `analyze_baseline` with and without a low-Vth derate, and
+/// the same-pin `replace_cell` must leave the netlist exactly as the
+/// general by-name rebind does.
 #[test]
 fn timing_graph_analysis_is_bit_identical_to_legacy() {
     use selective_mt::cells::cell::{CellRole, PinDir};
@@ -728,7 +731,7 @@ fn timing_graph_analysis_is_bit_identical_to_legacy() {
     use selective_mt::place::{place, PlacerConfig};
     use selective_mt::route::Parasitics;
     use selective_mt::sta::{
-        analyze, analyze_baseline, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport,
+        analyze, analyze_baseline, Derating, StaConfig, TimingGraph, TimingReport, TimingState,
     };
 
     /// The general rebind of `replace_cell`, spelled out with public
@@ -870,7 +873,9 @@ fn timing_graph_analysis_is_bit_identical_to_legacy() {
                 } else {
                     Derating::none()
                 };
-                let resident = analyze_cached(&graph, &cache, &m, &lib, &par, &cfg, &der);
+                let libs = [&lib];
+                let resident = TimingState::new(&graph, &cache, &m, &libs, &par, &cfg, &der)
+                    .report(0, &cache, &m, &der);
                 let old = analyze_baseline(&m, &lib, &par, &cfg, &der).unwrap();
                 let tag = format!("swap {step}, derate {derate}");
                 assert_same(seed, &tag, &resident, &old);
