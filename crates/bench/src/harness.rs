@@ -240,11 +240,13 @@ impl Group<'_> {
 }
 
 /// Wall-clock statistics over the timed samples.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Fastest sample.
     pub min: Duration,
-    /// Median sample.
+    /// Median sample: the middle one, or the mean of the two middle
+    /// ones for an even sample count (so at two samples it is their
+    /// mean, not the slower one).
     pub median: Duration,
     /// Mean over all samples.
     pub mean: Duration,
@@ -254,10 +256,54 @@ impl Stats {
     fn from_times(times: &mut [Duration]) -> Stats {
         times.sort_unstable();
         let total: Duration = times.iter().sum();
+        let mid = times.len() / 2;
+        let median = if times.len() % 2 == 0 {
+            (times[mid - 1] + times[mid]) / 2
+        } else {
+            times[mid]
+        };
         Stats {
             min: times[0],
-            median: times[times.len() / 2],
+            median,
             mean: total / times.len() as u32,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_of_even_counts_is_the_mean_of_the_middle_two() {
+        let ms = Duration::from_millis;
+        let stats = |times: &[u64]| {
+            let mut times: Vec<Duration> = times.iter().map(|&t| ms(t)).collect();
+            Stats::from_times(&mut times)
+        };
+        assert_eq!(
+            stats(&[30, 10]),
+            Stats {
+                min: ms(10),
+                median: ms(20),
+                mean: ms(20),
+            }
+        );
+        assert_eq!(
+            stats(&[30, 10, 50]),
+            Stats {
+                min: ms(10),
+                median: ms(30),
+                mean: ms(30),
+            }
+        );
+        assert_eq!(
+            stats(&[40, 10, 100, 20]),
+            Stats {
+                min: ms(10),
+                median: ms(30),
+                mean: ms(42) + Duration::from_micros(500),
+            }
+        );
     }
 }

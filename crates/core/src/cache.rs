@@ -159,11 +159,6 @@ impl DesignCache {
         })
     }
 
-    /// The library fingerprint this handle keys on.
-    pub fn library_fingerprint(&self) -> u64 {
-        self.lib_fp
-    }
-
     /// Counters accumulated by this handle.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -638,6 +638,13 @@ mod tests {
             back.cluster.max_cells_per_switch,
             cfg.cluster.max_cells_per_switch
         );
+        // Session and suite fingerprints hash this JSON, so the route
+        // object keeps writing `"rrr_iterations": 0`.
+        let doc = json::parse(&cfg.to_json()).unwrap();
+        assert_eq!(
+            doc.get("route").and_then(|r| r.get("rrr_iterations")),
+            Some(&Json::Num(0.0))
+        );
     }
 
     #[test]

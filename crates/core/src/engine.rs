@@ -713,8 +713,8 @@ pub struct FlowResult {
     /// for the default single-corner configuration).
     pub corner_signoff: Vec<CornerSignoff>,
     /// Track demand above capacity, summed over the final global
-    /// route's tile edges (0 = congestion-free). The router reports
-    /// overflow; it resolves none unless rip-up & reroute is configured.
+    /// route's tile edges (0 = congestion-free). The router routes each
+    /// net once and reports overflow; it resolves none.
     pub overflow: u64,
     /// Peak tile-edge utilisation (demand / capacity) of the final
     /// global route.

@@ -59,31 +59,23 @@ mod tests {
     use super::*;
     use smt_circuits::families::{generate, standard_suite, SuiteScale};
     use smt_circuits::rtl::circuit_b_rtl_sized;
-    use smt_route::{route_global, RouteConfig};
+    use smt_route::route_global;
 
     #[test]
     fn reported_overflow_is_the_final_designs_global_route() {
         let lib = Library::industrial_130nm();
-        for rrr_iterations in [0, 2] {
-            let cfg = FlowConfig {
-                route: RouteConfig {
-                    rrr_iterations,
-                    ..RouteConfig::default()
-                },
-                ..FlowConfig::default()
-            };
-            for w in standard_suite(SuiteScale::Smoke) {
-                let netlist = generate(&lib, &w.config).unwrap();
-                let r = run_flow_netlist(netlist, &lib, &cfg)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                let gr = route_global(&r.netlist, &lib, &r.placement, &cfg.route);
-                assert_eq!(
-                    (r.overflow, r.peak_utilization),
-                    (gr.overflow, gr.peak_utilization),
-                    "{} (rrr_iterations {rrr_iterations})",
-                    w.name
-                );
-            }
+        let cfg = FlowConfig::default();
+        for w in standard_suite(SuiteScale::Smoke) {
+            let netlist = generate(&lib, &w.config).unwrap();
+            let r =
+                run_flow_netlist(netlist, &lib, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            let gr = route_global(&r.netlist, &lib, &r.placement, &cfg.route);
+            assert_eq!(
+                (r.overflow, r.peak_utilization),
+                (gr.overflow, gr.peak_utilization),
+                "{}",
+                w.name
+            );
         }
     }
 

@@ -4,11 +4,10 @@
 //!
 //! * [`steiner`] — rectilinear Steiner trees per net;
 //! * [`global`] — grid global routing producing per-net routed lengths:
-//!   each net is routed once by maze search on the empty grid, and
-//!   overflow is reported rather than resolved (rip-up & reroute is
-//!   opt-in through `RouteConfig::rrr_iterations`);
+//!   each net is routed once, every Steiner edge along a closed-form
+//!   L-shaped tile path, and overflow is reported rather than resolved;
 //! * [`router`] — the incremental routing session behind it: cached
-//!   per-net base routes, fingerprint-revalidated `reroute_nets`, and a
+//!   per-net routes, fingerprint-revalidated `reroute_nets`, and a
 //!   `full_route_runs()` reuse counter;
 //! * [`extract`] — parasitic extraction at two fidelities: pre-route
 //!   estimates from placement and post-route RC trees with per-sink

@@ -1,38 +1,24 @@
 //! Incremental global-routing session.
 //!
 //! [`Router`] mirrors the `Placer` session pattern for the routing
-//! stage: a full [`Router::route`] pass caches one congestion-blind
-//! route per net, and [`Router::reroute_nets`] later revalidates only
-//! the nets whose pin lists changed (cell swapped, load rebound,
-//! instance moved), reusing everything else.
+//! stage: a full [`Router::route`] pass caches one route per net, and
+//! [`Router::reroute_nets`] later revalidates only the nets whose pin
+//! lists changed (cell swapped, load rebound, instance moved), reusing
+//! everything else.
 //!
-//! The routing algorithm is organised so that reuse is *exact*, not
-//! approximate:
-//!
-//! 1. **Base pass** — every net is routed independently against an
-//!    *empty* grid (uniform edge cost, so A* returns an L1-shortest tile
-//!    path per Steiner edge). Each net's base route is a pure function of
-//!    its ordered pin list, fingerprinted with [`Fnv64`]; nets therefore
-//!    never invalidate each other and the pass parallelises over nets
-//!    with no ordering effects.
-//! 2. **Congestion** — the grid is the sum of all base paths
-//!    (commutative, so worker-count invariant). By default
-//!    ([`RouteConfig::rrr_iterations`] = 0) the base routes are the
-//!    result and the grid's overflow is reported, not resolved, so a
-//!    refresh costs only the base routes of the stale nets.
-//! 3. **Rip-up & reroute (opt-in)** — with `rrr_iterations` above 0,
-//!    overflowing nets are rerouted strictly in net-id order against the
-//!    live grid: sequential, so later victims see earlier victims' new
-//!    paths, and re-derived from the base routes on every refresh, so
-//!    identical inputs produce identical routes regardless of which nets
-//!    were cached.
-//!
-//! Because the full pass and the incremental pass share this exact code
-//! path, an incremental refresh is bit-identical to routing the same
+//! Reuse is *exact*, not approximate. Each net is routed once and on
+//! its own: every Steiner edge takes its closed-form L-shaped tile path
+//! (`global::l_path`), so a net's route is a pure function of
+//! its ordered pin list, fingerprinted with [`Fnv64`]. Nets never
+//! invalidate each other, and the pass parallelises over nets with no
+//! ordering effects. The usage grid is the sum of all routes
+//! (commutative, so worker-count invariant); its overflow is reported,
+//! not resolved, so a refresh costs only the routes of the stale nets,
+//! and an incremental refresh is bit-identical to routing the same
 //! netlist from scratch — the property the whole-flow incrementality
 //! tests digest-assert.
 
-use crate::global::{net_pins, GlobalRoute, Grid, RouteConfig, SearchBuf};
+use crate::global::{l_path, net_pins, GlobalRoute, Grid, RouteConfig};
 use crate::steiner::steiner_tree;
 use smt_base::fingerprint::Fnv64;
 use smt_base::geom::{Point, Rect};
@@ -44,10 +30,6 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FULL_ROUTE_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Stale nets per base-pass work item; each item reuses one
-/// [`SearchBuf`].
-const BASE_BATCH: usize = 64;
 
 /// Number of from-scratch global-routing passes since process start.
 /// Incremental [`Router::reroute_nets`] refreshes do not count; tests
@@ -64,8 +46,8 @@ struct NetRoute {
     length: f64,
 }
 
-/// Incremental global-routing session: cached per-net base routes plus
-/// the per-net pin fingerprints that revalidate them against any later
+/// Incremental global-routing session: cached per-net routes plus the
+/// per-net pin fingerprints that revalidate them against any later
 /// netlist and placement.
 #[derive(Debug, Clone)]
 pub struct Router {
@@ -73,30 +55,24 @@ pub struct Router {
     die: Rect,
     nx: usize,
     ny: usize,
-    /// Fingerprint of the ordered pin list each base route was computed
+    /// Fingerprint of the ordered pin list each route was computed
     /// from; `None` marks a slot that has never been routed.
     fp: Vec<Option<u64>>,
-    /// Congestion-blind base route per net (pure in the pin list).
-    base: Vec<NetRoute>,
-    /// Routes after congestion resolution (what the view reports).
-    /// Invariant between refreshes: `cur[i] == base[i]` except on the
-    /// nets listed in `rrr_touched`.
-    cur: Vec<NetRoute>,
-    /// Live usage grid: always the edge-wise sum of the `cur` paths,
+    /// Route per net (pure in the pin list).
+    routes: Vec<NetRoute>,
+    /// Live usage grid: always the edge-wise sum of the route paths,
     /// maintained by ±1 deltas as routes change — a refresh never
     /// re-applies the whole design or clones the grid.
     grid: Grid,
-    /// Nets where the last congestion resolution left `cur != base`.
-    rrr_touched: Vec<NetId>,
     view: GlobalRoute,
-    /// Nets whose base route was rebuilt by the last refresh.
+    /// Nets whose route was rebuilt by the last refresh.
     pub last_rerouted: usize,
-    /// Nets whose cached base route survived the last refresh.
+    /// Nets whose cached route survived the last refresh.
     pub last_reused: usize,
 }
 
 /// Fingerprint of a net's ordered pin list (driver first, then instance
-/// loads in load order, then port loads) — the only input the base route
+/// loads in load order, then port loads) — the only input the route
 /// depends on besides die/config, which the session tracks separately.
 /// Streamed straight off the netlist without materialising the
 /// intermediate `Vec<Point>` that [`net_pins`] builds (hash framing
@@ -148,10 +124,8 @@ impl Router {
             nx,
             ny,
             fp: Vec::new(),
-            base: Vec::new(),
-            cur: Vec::new(),
+            routes: Vec::new(),
             grid: Grid::empty(nx, ny, config.capacity),
-            rrr_touched: Vec::new(),
             view: GlobalRoute {
                 tile_um: config.tile_um,
                 nx,
@@ -188,9 +162,7 @@ impl Router {
     /// Incremental refresh. With `candidates: None` — what
     /// [`Router::refresh`], and so the flow, passes — every net's pin
     /// fingerprint is recomputed and compared
-    /// with the cached one; stale nets get a fresh base route in
-    /// parallel. With rip-up & reroute on, congestion resolution then
-    /// reruns over the full design.
+    /// with the cached one; stale nets get a fresh route in parallel.
     /// `Some(set)` checks only `set` (plus any nets created since the
     /// last pass), so it is only sound when `set` covers every net whose
     /// pins moved or rebound.
@@ -219,7 +191,7 @@ impl Router {
         h.write_usize(self.ny);
         h.write_u64(self.view.overflow);
         h.write_f64(self.view.peak_utilization);
-        for nr in &self.cur {
+        for nr in &self.routes {
             h.write_f64(nr.length);
             h.write_usize(nr.paths.len());
             for path in &nr.paths {
@@ -247,18 +219,16 @@ impl Router {
         if num_nets < known {
             // Checkpoint forks can rewind past net creations: retire the
             // dropped slots from the live grid before truncating.
-            for nr in &self.cur[num_nets..] {
+            for nr in &self.routes[num_nets..] {
                 for path in &nr.paths {
                     self.grid.apply(path, -1);
                 }
             }
         }
         self.fp.resize(num_nets, None);
-        self.base.resize(num_nets, NetRoute::default());
-        self.cur.resize(num_nets, NetRoute::default());
-        self.rrr_touched.retain(|id| id.index() < num_nets);
+        self.routes.resize(num_nets, NetRoute::default());
 
-        // Which slots need their base route rebuilt?
+        // Which slots need their route rebuilt?
         let mut stale: Vec<NetId> = Vec::new();
         let check = |id: NetId, fp: &mut Vec<Option<u64>>, stale: &mut Vec<NetId>| {
             let now = pin_fp_of(netlist, placement, id);
@@ -292,129 +262,45 @@ impl Router {
         self.last_rerouted = stale.len();
         self.last_reused = num_nets - stale.len();
         if stale.is_empty() && num_nets == known {
-            // No pin list changed and no net appeared or retired, so
-            // every input to congestion resolution is byte-identical to
-            // the previous pass — re-running it would reproduce `cur`,
-            // the grid, and the view exactly. Keep them.
+            // No pin list changed and no net appeared or retired: the
+            // routes, the grid and the view are all still exact.
             return;
         }
 
-        // Restore the `cur == base` starting point for congestion
-        // resolution by undoing what the previous resolution overrode
-        // (±1 edge updates are exact and commutative, so the live grid
-        // tracks along).
-        for i in 0..self.rrr_touched.len() {
-            let id = self.rrr_touched[i];
-            for path in &self.cur[id.index()].paths {
-                self.grid.apply(path, -1);
-            }
-            self.cur[id.index()] = self.base[id.index()].clone();
-            for path in &self.cur[id.index()].paths {
-                self.grid.apply(path, 1);
-            }
-        }
-        self.rrr_touched.clear();
-
-        // Base pass over stale nets: pure per-net routing against an
-        // empty grid, fanned out with order-preserving `parallel_map` in
-        // batches that each reuse one search buffer. Small deltas stay
-        // on this thread — spawning a worker pool costs more than
-        // routing a handful of nets.
+        // Route the stale nets: pure per-net routing, fanned out with
+        // order-preserving `parallel_map`. Small deltas stay on this
+        // thread — spawning a worker pool costs more than routing a
+        // handful of nets.
         let workers = if stale.len() < 32 { 1 } else { workers };
-        let empty = Grid::empty(self.nx, self.ny, self.config.capacity);
-        let batches: Vec<&[NetId]> = stale.chunks(BASE_BATCH).collect();
-        let routed = parallel_map(&batches, workers, |batch| {
-            let mut buf = SearchBuf::default();
-            batch
-                .iter()
-                .map(|&id| self.route_net(netlist, placement, &empty, id, 0.0, &mut buf))
-                .collect::<Vec<_>>()
+        let routed = parallel_map(&stale, workers, |&id| {
+            self.route_net(netlist, placement, id)
         });
-        for (&id, nr) in stale.iter().zip(routed.into_iter().flatten()) {
-            // `cur == base` holds everywhere now, so swapping a base
-            // route in means swapping the same paths out of the grid.
-            for path in &self.cur[id.index()].paths {
+        for (&id, nr) in stale.iter().zip(routed) {
+            // ±1 edge updates are exact and commutative, so the grid
+            // reaches the same state in any order.
+            for path in &self.routes[id.index()].paths {
                 self.grid.apply(path, -1);
             }
-            self.base[id.index()] = nr;
-            self.cur[id.index()] = self.base[id.index()].clone();
-            for path in &self.cur[id.index()].paths {
+            self.routes[id.index()] = nr;
+            for path in &self.routes[id.index()].paths {
                 self.grid.apply(path, 1);
             }
         }
-        // The live grid now equals the sum of all base paths — the same
-        // state a from-scratch pass reaches before resolution. Moved out
-        // so the resolution loop can borrow `self` for routing.
-        let mut grid = std::mem::replace(&mut self.grid, Grid::empty(2, 2, 1));
-
-        // Rip-up & reroute: each overflowing net is ripped up and
-        // re-routed against the live grid, strictly in net-id order.
-        // Sequential on purpose — later victims must see earlier
-        // victims' new paths or the iteration oscillates instead of
-        // converging. Still deterministic and worker-count invariant:
-        // the order is fixed and no workers participate, and because
-        // `cur` always starts the resolution equal to the (pure,
-        // cacheable) base routes, the outcome is a function of the
-        // netlist and placement alone, never of which base routes were
-        // cached or what a previous resolution decided.
-        let mut buf = SearchBuf::default();
-        for iter in 0..self.config.rrr_iterations {
-            if grid.overflow() == 0 {
-                break;
-            }
-            let weight = 8.0 * (iter + 2) as f64;
-            let mut changed = false;
-            for i in 0..num_nets {
-                let id = NetId(i as u32);
-                if !self.cur[id.index()]
-                    .iter_paths()
-                    .any(|p| grid.path_overflows(p))
-                {
-                    continue;
-                }
-                for p in self.cur[id.index()].iter_paths() {
-                    grid.apply(p, -1);
-                }
-                let nr = self.route_net(netlist, placement, &grid, id, weight, &mut buf);
-                for p in nr.paths.iter() {
-                    grid.apply(p, 1);
-                }
-                self.cur[id.index()] = nr;
-                self.rrr_touched.push(id);
-                changed = true;
-            }
-            if !changed {
-                break;
-            }
-        }
-        self.rrr_touched.sort_unstable();
-        self.rrr_touched.dedup();
 
         self.view = GlobalRoute {
             tile_um: self.config.tile_um,
             nx: self.nx,
             ny: self.ny,
-            net_length: self.cur.iter().map(|nr| nr.length).collect(),
-            overflow: grid.overflow(),
-            peak_utilization: grid.peak_utilization(),
+            net_length: self.routes.iter().map(|nr| nr.length).collect(),
+            overflow: self.grid.overflow(),
+            peak_utilization: self.grid.peak_utilization(),
         };
-        self.grid = grid;
     }
 
-    /// Routes one net's Steiner edges over `grid` (the empty grid for
-    /// the uniform-cost base pass, or a frozen congestion snapshot minus
-    /// the net's own usage during rip-up). The grid is only read —
-    /// self-usage between a net's own edges is deliberately not
-    /// accumulated, so each route is a pure function of (pin list, grid).
-    fn route_net(
-        &self,
-        netlist: &Netlist,
-        placement: &Placement,
-        grid: &Grid,
-        id: NetId,
-        weight: f64,
-        buf: &mut SearchBuf,
-    ) -> NetRoute {
+    /// Routes one net: each Steiner edge between two tiles takes its
+    /// closed-form L path, and a sub-tile edge counts its direct length.
+    /// A pure function of the net's pin list.
+    fn route_net(&self, netlist: &Netlist, placement: &Placement, id: NetId) -> NetRoute {
         let pins = net_pins(netlist, placement, id);
         if pins.len() < 2 {
             return NetRoute::default();
@@ -430,8 +316,8 @@ impl Router {
                 length += tree.nodes[parent].manhattan(tree.nodes[child]);
                 continue;
             }
-            let path = grid.route(from, to, weight, buf);
-            length += (path.len().saturating_sub(1)) as f64 * self.config.tile_um;
+            let path = l_path(from, to);
+            length += (path.len() - 1) as f64 * self.config.tile_um;
             paths.push(path);
         }
         NetRoute { paths, length }
@@ -441,12 +327,6 @@ impl Router {
         let x = (((p.x - self.die.lo.x) / self.config.tile_um) as usize).min(self.nx - 1);
         let y = (((p.y - self.die.lo.y) / self.config.tile_um) as usize).min(self.ny - 1);
         (x, y)
-    }
-}
-
-impl NetRoute {
-    fn iter_paths(&self) -> impl Iterator<Item = &[(usize, usize)]> {
-        self.paths.iter().map(|p| p.as_slice())
     }
 }
 
@@ -536,21 +416,17 @@ mod tests {
         let p = place(&n, &lib, &PlacerConfig::default());
         let cfg = RouteConfig {
             capacity: 2,
-            rrr_iterations: 2,
             ..RouteConfig::default()
         };
-        let d1 = Router::route(&n, &lib, &p, &cfg, 1).digest();
-        let once = RouteConfig {
-            rrr_iterations: 0,
-            ..cfg.clone()
-        };
-        assert_ne!(
-            Router::route(&n, &lib, &p, &once, 1).digest(),
-            d1,
-            "rip-up & reroute must change the routes it is tested on"
-        );
+        let r1 = Router::route(&n, &lib, &p, &cfg, 1);
+        // Below 32 stale nets a pass stays on one thread, whatever the
+        // worker count.
+        assert!(r1.last_rerouted >= 32, "{} nets routed", r1.last_rerouted);
         for workers in [2, 4, 8] {
-            assert_eq!(Router::route(&n, &lib, &p, &cfg, workers).digest(), d1);
+            assert_eq!(
+                Router::route(&n, &lib, &p, &cfg, workers).digest(),
+                r1.digest()
+            );
         }
     }
 

@@ -273,10 +273,10 @@ fn observers_walk_the_plan_in_order() {
 }
 
 /// Route configs that used to panic, abort the process on a huge grid
-/// allocation, or route on NaN costs are refused with a typed error
-/// before any stage runs, on a fresh run and on a checkpoint resume —
-/// including the resume of a completed checkpoint, where no stage is
-/// left to run.
+/// allocation, or route on NaN costs, and configs that ask for rip-up &
+/// reroute, are refused with a typed error before any stage runs, on a
+/// fresh run and on a checkpoint resume — including the resume of a
+/// completed checkpoint, where no stage is left to run.
 #[test]
 fn hostile_route_configs_are_rejected_before_any_stage() {
     use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
@@ -305,40 +305,47 @@ fn hostile_route_configs_are_rejected_before_any_stage() {
         .resume_until(&prefix, StageId::Signoff)
         .expect("valid completed checkpoint");
 
-    let hostile: [(f64, u32); 6] = [
-        (0.0, 14),
-        (1e-4, 14),
-        (-8.0, 14),
-        (f64::NAN, 14),
-        (f64::INFINITY, 14),
-        (8.0, 0),
+    let hostile: [(f64, u32, usize); 7] = [
+        (0.0, 14, 0),
+        (1e-4, 14, 0),
+        (-8.0, 14, 0),
+        (f64::NAN, 14, 0),
+        (f64::INFINITY, 14, 0),
+        (8.0, 0, 0),
+        (8.0, 14, 2),
     ];
-    for (tile_um, capacity) in hostile {
+    for (tile_um, capacity, rrr_iterations) in hostile {
         let mut cfg = base_config(Technique::ImprovedSmt);
         cfg.route.tile_um = tile_um;
         cfg.route.capacity = capacity;
+        cfg.route.rrr_iterations = rrr_iterations;
         let started = Arc::new(Mutex::new(Vec::new()));
         let err = FlowEngine::new(&lib, cfg.clone())
             .observe(Starts(started.clone()))
             .run_netlist(netlist.clone())
             .err()
-            .unwrap_or_else(|| panic!("tile_um {tile_um}, capacity {capacity} was accepted"));
-        let expected = if capacity == 0 {
+            .unwrap_or_else(|| panic!("{:?} was accepted", cfg.route));
+        let expected = if rrr_iterations > 0 {
+            matches!(err, FlowError::Route(RouteError::RipUpUnsupported { iterations })
+                if iterations == rrr_iterations)
+        } else if capacity == 0 {
             matches!(err, FlowError::Route(RouteError::ZeroCapacity))
         } else {
             matches!(err, FlowError::Route(RouteError::BadTile { .. }))
         };
-        assert!(expected, "tile_um {tile_um}, capacity {capacity}: {err}");
+        assert!(expected, "{:?}: {err}", cfg.route);
         assert!(started.lock().unwrap().is_empty(), "a stage ran: {err}");
         let completed = FlowEngine::new(&lib, cfg.clone()).resume(&finals);
         assert!(
             matches!(completed, Err(FlowError::Route(_))),
-            "completed resume accepted tile_um {tile_um}, capacity {capacity}"
+            "completed resume accepted {:?}",
+            cfg.route
         );
-        let resumed = FlowEngine::new(&lib, cfg).resume(&prefix);
+        let resumed = FlowEngine::new(&lib, cfg.clone()).resume(&prefix);
         assert!(
             matches!(resumed, Err(FlowError::Route(_))),
-            "resume accepted tile_um {tile_um}, capacity {capacity}"
+            "resume accepted {:?}",
+            cfg.route
         );
     }
 }

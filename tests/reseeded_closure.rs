@@ -1,9 +1,9 @@
 //! Timing closure of the standard suite with its design generators
 //! reseeded, as the benchmark's `--reseed-designs` does.
 //!
-//! Rip-up & reroute detours make `pipeline_s8_w32` miss timing at
+//! Rip-up & reroute detours made `pipeline_s8_w32` miss timing at
 //! benchmark seeds 15 and 16, which is why the router routes each net
-//! once by default. The first test pins closure there; the second
+//! once. The first test pins closure there; the second
 //! (ignored by default, about 50 s in a release build on two cores)
 //! covers seeds 1–40 of every seeded family:
 //!

@@ -320,29 +320,38 @@ fn hostile_route_config_gets_an_error_reply_and_the_daemon_keeps_serving() {
     let handle = daemon("hostile-route");
     let mut client = connect(&handle);
     let design = Json::Str(smallest_smoke().name);
-    let flow_with_tile = |tile_um: f64| {
+    let flow_with_route = |route: &[(&str, Json)]| {
         obj(&[
             ("design", design.clone()),
-            (
-                "config",
-                obj(&[("route", obj(&[("tile_um", Json::Num(tile_um))]))]),
-            ),
+            ("config", obj(&[("route", obj(route))])),
         ])
     };
 
     // A 0.1 nm tile would size the routing grid at about a terabyte:
     // an allocation failure aborts the process, which no panic guard
     // catches. It must be refused before anything is routed.
-    match client.call("flow", flow_with_tile(1e-4)) {
+    match client.call("flow", flow_with_route(&[("tile_um", Json::Num(1e-4))])) {
         Err(CallError::Remote(e)) => {
             assert!(e.message.contains("tile_um"), "got: {e:?}");
         }
         other => panic!("expected a remote error, got {other:?}"),
     }
 
+    // Rip-up & reroute is not run: asking for it is a typed flow error.
+    match client.call(
+        "flow",
+        flow_with_route(&[("rrr_iterations", Json::Num(2.0))]),
+    ) {
+        Err(CallError::Remote(e)) => {
+            assert_eq!(e.code, "flow", "got: {e:?}");
+            assert!(e.message.contains("rrr_iterations"), "got: {e:?}");
+        }
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+
     // The same daemon answers a valid request afterwards.
     let ok = client
-        .call("flow", flow_with_tile(8.0))
+        .call("flow", flow_with_route(&[("tile_um", Json::Num(8.0))]))
         .expect("valid flow after a refused one");
     assert!(ok.get("digest").and_then(Json::as_str).is_some());
     client.call("shutdown", obj(&[])).expect("shutdown");
